@@ -13,46 +13,24 @@ use serde::{Deserialize, Serialize};
 
 use crate::budget::ArmedBudget;
 use crate::error::SherlockError;
-use crate::exec::{par_map_indexed, try_par_map_indexed};
+use crate::exec::{try_par_map_indexed, ExecPolicy};
 use crate::generate::GeneratedPredicate;
-use crate::label::label_partitions;
 use crate::params::SherlockParams;
-use crate::partition::{PartitionLabel, PartitionSpace};
+use crate::partition::{LabeledSpace, PartitionIndex};
 use crate::predicate::Predicate;
-use crate::separation::partition_separation_power;
 
-/// Labeled partition space of one attribute, built once per ranking pass
-/// and shared by every model that references the attribute (Eq. 3 scores
-/// `M` models over `P` predicates each; without sharing, the same space
-/// is rebuilt `M·P` times against the same dataset).
-type ScoredPartition = (PartitionSpace, Vec<PartitionLabel>);
-
-/// Build the labeled partition space Eq. 3 scores a predicate against;
-/// `None` when the attribute cannot be partitioned. Shared verbatim by
-/// the per-model [`CausalModel::confidence`] path and the per-ranking
-/// cache so both are bit-identical.
-fn scored_partition(
-    dataset: &Dataset,
-    attr_id: usize,
-    abnormal: &Region,
-    normal: &Region,
-    params: &SherlockParams,
-) -> Option<ScoredPartition> {
-    let space = PartitionSpace::build(dataset, attr_id, params.n_partitions)?;
-    let labels = label_partitions(dataset, attr_id, &space, abnormal, normal);
-    Some((space, labels))
-}
-
-/// Per-attribute scoring cache for one `rank` call, indexed by attribute
-/// id; `None` slots are unpartitionable (or unreferenced) attributes.
-fn prepare_partitions(
-    dataset: &Dataset,
+/// Index of the labeled partition spaces `models` reference: how ranking
+/// outside a diagnosis pass (where predicate generation has not already
+/// built every space) gets the case's labels. Each distinct attribute is
+/// partitioned and labeled once, with `budget` polled before each.
+fn referenced_index<'a>(
+    dataset: &'a Dataset,
     models: &[CausalModel],
     abnormal: &Region,
     normal: &Region,
     params: &SherlockParams,
-    budget: Option<(&ArmedBudget, &'static str)>,
-) -> Result<Vec<Option<ScoredPartition>>, SherlockError> {
+    budget: &ArmedBudget,
+) -> Result<PartitionIndex<'a>, SherlockError> {
     let mut attr_ids: Vec<usize> = models
         .iter()
         .flat_map(|m| &m.predicates)
@@ -60,16 +38,15 @@ fn prepare_partitions(
         .collect();
     attr_ids.sort_unstable();
     attr_ids.dedup();
-    let mut prepared: Vec<Option<ScoredPartition>> = vec![None; dataset.schema().len()];
+    let snapshot = dataset.snapshot();
+    let mut spaces: Vec<Option<LabeledSpace>> = vec![None; dataset.schema().len()];
     for attr_id in attr_ids {
-        if let Some((budget, stage)) = budget {
-            budget.check(stage)?;
-        }
-        if let Some(slot) = prepared.get_mut(attr_id) {
-            *slot = scored_partition(dataset, attr_id, abnormal, normal, params);
+        budget.check("rank")?;
+        if let Some(slot) = spaces.get_mut(attr_id) {
+            *slot = LabeledSpace::build(&snapshot, attr_id, abnormal, normal, params.n_partitions);
         }
     }
-    Ok(prepared)
+    Ok(PartitionIndex::new(dataset, spaces))
 }
 
 /// A cause variable and its effect predicates.
@@ -107,55 +84,25 @@ impl CausalModel {
         normal: &Region,
         params: &SherlockParams,
     ) -> f64 {
+        // An unlimited budget never fails its checks, so this never maps
+        // an error.
+        let models = std::slice::from_ref(self);
+        referenced_index(dataset, models, abnormal, normal, params, &ArmedBudget::unlimited())
+            .map_or(0.0, |index| self.score(&index))
+    }
+
+    /// Eq. 3 against a case's [`PartitionIndex`]: the one scorer behind
+    /// [`confidence`](Self::confidence) and ranking.
+    fn score(&self, index: &PartitionIndex<'_>) -> f64 {
         // Deliberate-panic hook for the crash-torture harness; a no-op for
         // every real cause and dataset, and absent (no panic, no schema
         // lookup) in builds without the `chaos` feature (see [`crate::chaos`]).
         #[cfg(any(test, feature = "chaos"))]
-        crate::chaos::scorer_tripwire(&self.cause, dataset);
+        crate::chaos::scorer_tripwire(&self.cause, index.dataset());
         if self.predicates.is_empty() {
             return 0.0;
         }
-        let total: f64 = self
-            .predicates
-            .iter()
-            .map(|pred| {
-                let Some(attr_id) = dataset.schema().id_of(&pred.attr) else {
-                    return 0.0;
-                };
-                let Some((space, labels)) =
-                    scored_partition(dataset, attr_id, abnormal, normal, params)
-                else {
-                    return 0.0;
-                };
-                partition_separation_power(pred, &space, &labels, dataset, attr_id)
-            })
-            .sum();
-        total / self.predicates.len() as f64
-    }
-
-    /// [`confidence`](Self::confidence) against a prepared per-attribute
-    /// cache (see [`prepare_partitions`]): the ranking hot path. Same
-    /// tripwire, same arithmetic, same results — the cache entries are
-    /// built by the same [`scored_partition`] the direct path calls.
-    fn confidence_prepared(&self, dataset: &Dataset, prepared: &[Option<ScoredPartition>]) -> f64 {
-        #[cfg(any(test, feature = "chaos"))]
-        crate::chaos::scorer_tripwire(&self.cause, dataset);
-        if self.predicates.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = self
-            .predicates
-            .iter()
-            .map(|pred| {
-                let Some(attr_id) = dataset.schema().id_of(&pred.attr) else {
-                    return 0.0;
-                };
-                let Some(Some((space, labels))) = prepared.get(attr_id) else {
-                    return 0.0;
-                };
-                partition_separation_power(pred, space, labels, dataset, attr_id)
-            })
-            .sum();
+        let total: f64 = self.predicates.iter().map(|pred| index.separation_power(pred)).sum();
         total / self.predicates.len() as f64
     }
 
@@ -261,12 +208,12 @@ impl ModelRepository {
 
     /// Score every model against the anomaly and return all causes in
     /// decreasing confidence order (unfiltered; apply `λ` at the
-    /// presentation layer so callers can inspect margins).
+    /// presentation layer so callers can inspect margins). Confidence ties
+    /// break by cause name so the ranking is deterministic regardless of
+    /// insertion order.
     ///
-    /// Models are scored independently across the thread budget of
-    /// `params.exec()` (Eq. 3 touches only its own model's predicates).
-    /// Confidence ties break by cause name so the ranking is deterministic
-    /// regardless of insertion order or thread schedule.
+    /// [`try_rank`](Self::try_rank) with an unlimited budget, which can
+    /// only fail on a panicking scorer; that ranks nothing.
     pub fn rank(
         &self,
         dataset: &Dataset,
@@ -274,27 +221,16 @@ impl ModelRepository {
         normal: &Region,
         params: &SherlockParams,
     ) -> Vec<RankedCause> {
-        // The Err arm is unreachable without a budget; falling back to an
-        // empty cache makes every model score via zero-contribution slots.
-        let prepared = prepare_partitions(dataset, &self.models, abnormal, normal, params, None)
-            .unwrap_or_default();
-        let mut ranked: Vec<RankedCause> =
-            par_map_indexed(params.exec, &self.models, |_, m| RankedCause {
-                cause: m.cause.clone(),
-                confidence: m.confidence_prepared(dataset, &prepared),
-            });
-        ranked.sort_by(|a, b| {
-            b.confidence.total_cmp(&a.confidence).then_with(|| a.cause.cmp(&b.cause))
-        });
-        ranked
+        self.try_rank(dataset, abnormal, normal, params, &ArmedBudget::unlimited())
+            .unwrap_or_default()
     }
 
     /// [`rank`](Self::rank) under a [`DiagnosisBudget`](crate::DiagnosisBudget):
-    /// the budget is checked before each model is scored, and a panicking
-    /// scorer is caught at its slot. A ranking that silently dropped the
-    /// model that panicked could promote the wrong cause, so the first
-    /// failure aborts the whole ranking; within budget, output is
-    /// bit-identical to [`rank`](Self::rank).
+    /// the budget is checked before each attribute is labeled and before
+    /// each model is scored, and a panicking scorer is caught at its slot.
+    /// A ranking that silently dropped the model that panicked could
+    /// promote the wrong cause, so the first failure aborts the whole
+    /// ranking.
     pub fn try_rank(
         &self,
         dataset: &Dataset,
@@ -303,20 +239,26 @@ impl ModelRepository {
         params: &SherlockParams,
         budget: &ArmedBudget,
     ) -> Result<Vec<RankedCause>, SherlockError> {
-        let prepared = prepare_partitions(
-            dataset,
-            &self.models,
-            abnormal,
-            normal,
-            params,
-            Some((budget, "rank")),
-        )?;
-        let slots = try_par_map_indexed(params.exec, "rank", &self.models, |_, m| {
+        let index = referenced_index(dataset, &self.models, abnormal, normal, params, budget)?;
+        self.try_rank_indexed(&index, budget)
+    }
+
+    /// [`try_rank`](Self::try_rank) against a case's prebuilt
+    /// [`PartitionIndex`] — the diagnosis path, where predicate generation
+    /// has already labeled every attribute.
+    ///
+    /// Models are scored serially: with the index prebuilt, an Eq. 3 term
+    /// costs two binary searches, and a whole ranking takes less time than
+    /// spawning worker threads would. The per-model slots still run behind
+    /// the executor's panic-isolation boundary.
+    pub(crate) fn try_rank_indexed(
+        &self,
+        index: &PartitionIndex<'_>,
+        budget: &ArmedBudget,
+    ) -> Result<Vec<RankedCause>, SherlockError> {
+        let slots = try_par_map_indexed(ExecPolicy::Serial, "rank", &self.models, |_, m| {
             budget.check("rank")?;
-            Ok(RankedCause {
-                cause: m.cause.clone(),
-                confidence: m.confidence_prepared(dataset, &prepared),
-            })
+            Ok(RankedCause { cause: m.cause.clone(), confidence: m.score(index) })
         });
         let mut ranked = Vec::with_capacity(slots.len());
         for slot in slots {

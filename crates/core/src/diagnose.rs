@@ -21,7 +21,7 @@ use crate::detect::{try_detect_anomaly, Detection};
 use crate::domain::DomainKnowledge;
 use crate::error::SherlockError;
 use crate::exec::{try_par_map_indexed, ExecPolicy};
-use crate::generate::{try_generate_predicates_snapshot, GeneratedPredicate};
+use crate::generate::{try_generate_indexed, GeneratedPredicate};
 use crate::intervene::{
     validate_explanation, CauseVerdict, InterventionConfig, InterventionReport, InterventionRunner,
 };
@@ -219,10 +219,13 @@ impl Sherlock {
         let normal = &normal;
         // One columnar snapshot pins every attribute-contiguous slice for
         // the whole pass; kernels below never pay per-cell dispatch.
+        // Generation labels every attribute's partition space once and
+        // hands that index to ranking, which scores Eq. 3 against the same
+        // pre-filter, pre-prune labels without partitioning anything.
         let snapshot = dataset.snapshot();
-        let raw = try_generate_predicates_snapshot(&snapshot, abnormal, normal, params, budget)?;
+        let (raw, index) = try_generate_indexed(&snapshot, abnormal, normal, params, budget)?;
         let predicates = self.domain.prune(dataset, raw, params);
-        let all_causes = self.repository.try_rank(dataset, abnormal, normal, params, budget)?;
+        let all_causes = self.repository.try_rank_indexed(&index, budget)?;
         let causes = all_causes.iter().filter(|c| c.confidence >= params.lambda).cloned().collect();
         Ok(Explanation { predicates, causes, all_causes, interventions: Vec::new() })
     }

@@ -6,7 +6,9 @@
 //! `|µ_A − µ_N| > θ` conditions hold. Categorical attributes skip the
 //! filtering/filling steps and extract straight after labeling.
 
-use dbsherlock_telemetry::{AttributeKind, AttributeMeta, ColumnarSnapshot, Dataset, Region};
+use dbsherlock_telemetry::{
+    AttributeKind, AttributeMeta, ColumnView, ColumnarSnapshot, Dataset, Region,
+};
 
 use crate::budget::ArmedBudget;
 use crate::error::SherlockError;
@@ -14,9 +16,8 @@ use crate::exec::{par_map_indexed, try_par_map_indexed};
 use crate::extract::{extract_categorical_view, extract_numeric, normalized_mean_difference_view};
 use crate::fill::fill_gaps_view;
 use crate::filter::filter_partitions;
-use crate::label::label_partitions_view;
 use crate::params::SherlockParams;
-use crate::partition::PartitionSpace;
+use crate::partition::{LabeledSpace, PartitionIndex, PartitionSpace};
 use crate::predicate::Predicate;
 use crate::separation::separation_power_view;
 
@@ -87,7 +88,10 @@ pub fn generate_predicates_snapshot(
     // output in schema order, identical to the serial loop.
     let attrs: Vec<(usize, &AttributeMeta)> = snapshot.schema().iter().collect();
     par_map_indexed(params.exec, &attrs, |_, &(attr_id, attr)| {
-        extract_for_attribute(snapshot, attr_id, attr, abnormal, normal, params, ablation)
+        let labeled =
+            LabeledSpace::build(snapshot, attr_id, abnormal, normal, params.n_partitions)?;
+        let view = snapshot.column(attr_id);
+        extract_for_attribute(view, attr, &labeled, abnormal, normal, params, ablation)
     })
     .into_iter()
     .flatten()
@@ -118,75 +122,86 @@ pub fn try_generate_predicates_snapshot(
     params: &SherlockParams,
     budget: &ArmedBudget,
 ) -> Result<Vec<GeneratedPredicate>, SherlockError> {
+    try_generate_indexed(snapshot, abnormal, normal, params, budget)
+        .map(|(predicates, _)| predicates)
+}
+
+/// [`try_generate_predicates_snapshot`] that also returns the case's
+/// [`PartitionIndex`]: every attribute's labeled partition space, built
+/// once inside the per-attribute fan-out and kept for ranking (Eq. 3 is
+/// scored over the same pre-filter labels Algorithm 1 starts from).
+pub(crate) fn try_generate_indexed<'a>(
+    snapshot: &ColumnarSnapshot<'a>,
+    abnormal: &Region,
+    normal: &Region,
+    params: &SherlockParams,
+    budget: &ArmedBudget,
+) -> Result<(Vec<GeneratedPredicate>, PartitionIndex<'a>), SherlockError> {
     let abnormal = &abnormal.clip(snapshot.n_rows());
     let normal = &normal.clip(snapshot.n_rows());
     if abnormal.is_empty() || normal.is_empty() {
-        return Ok(Vec::new());
+        return Ok((Vec::new(), PartitionIndex::new(snapshot.dataset(), Vec::new())));
     }
     let attrs: Vec<(usize, &AttributeMeta)> = snapshot.schema().iter().collect();
     let per_attr = try_par_map_indexed(params.exec, "generate", &attrs, |_, &(attr_id, attr)| {
         budget.check("generate")?;
-        Ok(extract_for_attribute(
-            snapshot,
-            attr_id,
-            attr,
-            abnormal,
-            normal,
-            params,
-            AblationFlags::default(),
-        ))
+        let labeled = LabeledSpace::build(snapshot, attr_id, abnormal, normal, params.n_partitions);
+        let generated = labeled.as_ref().and_then(|labeled| {
+            extract_for_attribute(
+                snapshot.column(attr_id),
+                attr,
+                labeled,
+                abnormal,
+                normal,
+                params,
+                AblationFlags::default(),
+            )
+        });
+        Ok((labeled, generated))
     });
     let mut predicates = Vec::new();
+    let mut spaces = Vec::with_capacity(per_attr.len());
     for slot in per_attr {
-        if let Some(generated) = slot? {
-            predicates.push(generated);
-        }
+        let (labeled, generated) = slot?;
+        spaces.push(labeled);
+        predicates.extend(generated);
     }
-    Ok(predicates)
+    Ok((predicates, PartitionIndex::new(snapshot.dataset(), spaces)))
 }
 
-/// Algorithm 1 for a single attribute: partition, label, (numeric) filter and
-/// fill, then extract — the unit of work the parallel executor maps over.
-/// All inputs come from the snapshot: one column view, one memoized range,
-/// zero per-cell accesses.
+/// Algorithm 1 for a single attribute after partitioning and labeling:
+/// (numeric) filter and fill, then extract — the unit of work the
+/// parallel executor maps over. Reads one column view; the numeric
+/// domain `[min, max]` is the space's own, i.e. the snapshot's memoized
+/// range; zero per-cell accesses.
 fn extract_for_attribute(
-    snapshot: &ColumnarSnapshot<'_>,
-    attr_id: usize,
+    view: ColumnView<'_>,
     attr: &AttributeMeta,
+    labeled: &LabeledSpace,
     abnormal: &Region,
     normal: &Region,
     params: &SherlockParams,
     ablation: AblationFlags,
 ) -> Option<GeneratedPredicate> {
-    let view = snapshot.column(attr_id);
-    let space = match attr.kind {
-        AttributeKind::Numeric => PartitionSpace::from_numeric_range(
-            snapshot.numeric_range(attr_id),
-            params.n_partitions,
-        )?,
-        AttributeKind::Categorical => PartitionSpace::from_dictionary(view.categorical()?.1)?,
-    };
-    let labels = label_partitions_view(view, &space, abnormal, normal);
+    let (space, labels) = (labeled.space(), labeled.labels());
     match attr.kind {
         AttributeKind::Numeric => {
             let values = view.numeric()?;
+            let PartitionSpace::Numeric { min, max, .. } = *space else {
+                return None;
+            };
             let filtered =
-                if ablation.skip_filtering { labels } else { filter_partitions(&labels) };
+                if ablation.skip_filtering { labels.to_vec() } else { filter_partitions(labels) };
             let filled = if ablation.skip_filling {
                 filtered
             } else {
-                fill_gaps_view(&filtered, params.delta, values, &space, normal)
+                fill_gaps_view(&filtered, params.delta, values, space, normal)
             };
-            let d = normalized_mean_difference_view(
-                values,
-                snapshot.numeric_range(attr_id)?,
-                abnormal,
-                normal,
-            )?;
+            let d = normalized_mean_difference_view(values, (min, max), abnormal, normal)?;
             if d <= params.theta {
                 return None;
             }
-            let predicate = extract_numeric(&attr.name, &space, &filled)?;
+            let predicate = extract_numeric(&attr.name, space, &filled)?;
             let sp = separation_power_view(&predicate, view, abnormal, normal);
             (sp >= params.min_separation_power).then_some(GeneratedPredicate {
                 predicate,
@@ -195,7 +210,7 @@ fn extract_for_attribute(
             })
         }
         AttributeKind::Categorical => {
-            let predicate = extract_categorical_view(&attr.name, view.categorical()?.1, &labels)?;
+            let predicate = extract_categorical_view(&attr.name, view.categorical()?.1, labels)?;
             let sp = separation_power_view(&predicate, view, abnormal, normal);
             (sp >= params.min_separation_power).then_some(GeneratedPredicate {
                 predicate,

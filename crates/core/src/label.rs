@@ -54,32 +54,33 @@ fn label_numeric(
     let Some(binner) = space.numeric_binner() else {
         return vec![PartitionLabel::Empty; space.len()];
     };
-    let mut abnormal_hits = vec![0usize; space.len()];
-    let mut normal_hits = vec![0usize; space.len()];
+    // The purity rule needs only whether each side has a row in a
+    // partition, not how many: flags, with no read-modify-write chain.
+    let mut abnormal_seen = vec![false; space.len()];
+    let mut normal_seen = vec![false; space.len()];
     // Rows outside the column (possible only on malformed regions) are
     // skipped, like non-finite values.
     for &row in abnormal.indices() {
         if let Some(j) = values.get(row).copied().and_then(|v| binner.bin(v)) {
-            if let Some(hits) = abnormal_hits.get_mut(j) {
-                *hits += 1;
+            if let Some(seen) = abnormal_seen.get_mut(j) {
+                *seen = true;
             }
         }
     }
     for &row in normal.indices() {
         if let Some(j) = values.get(row).copied().and_then(|v| binner.bin(v)) {
-            if let Some(hits) = normal_hits.get_mut(j) {
-                *hits += 1;
+            if let Some(seen) = normal_seen.get_mut(j) {
+                *seen = true;
             }
         }
     }
-    abnormal_hits
+    abnormal_seen
         .iter()
-        .zip(&normal_hits)
+        .zip(&normal_seen)
         .map(|(&a, &n)| match (a, n) {
-            (0, 0) => PartitionLabel::Empty,
-            (_, 0) => PartitionLabel::Abnormal,
-            (0, _) => PartitionLabel::Normal,
-            // Mixed partitions carry no separation signal.
+            (true, false) => PartitionLabel::Abnormal,
+            (false, true) => PartitionLabel::Normal,
+            // Empty, or mixed: no separation signal.
             _ => PartitionLabel::Empty,
         })
         .collect()

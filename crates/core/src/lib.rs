@@ -92,7 +92,7 @@ pub use intervene::{
 };
 pub use merge::{merge_all, merge_models, merge_predicates};
 pub use params::{SherlockParams, SherlockParamsBuilder};
-pub use partition::{PartitionLabel, PartitionSpace};
+pub use partition::{LabeledSpace, PartitionLabel, PartitionSpace};
 pub use predicate::{display_conjunction, Predicate, PredicateOp};
 pub use separation::{partition_separation_power, separation_power};
 pub use store::{ModelStore, StoreFault, StoreReport};

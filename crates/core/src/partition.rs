@@ -5,8 +5,20 @@
 //! `lb(P_j) <= v < ub(P_j)` (the top partition also accepts `v = Max` so
 //! the maximum isn't orphaned). For a categorical attribute there is one
 //! partition per distinct value and order is irrelevant.
+//!
+//! A [`LabeledSpace`] pairs a space with its §4.2 labels and is built once
+//! per attribute per case: Algorithm 1 filters and fills a copy of its
+//! labels, and Eq. 3 (§6) scores every stored model against the same
+//! labels through its prefix counts.
 
-use dbsherlock_telemetry::{AttributeKind, Dataset, Dictionary};
+use std::ops::Range;
+
+use dbsherlock_telemetry::{
+    AttributeKind, ColumnView, ColumnarSnapshot, Dataset, Dictionary, Region,
+};
+
+use crate::label::label_partitions_view;
+use crate::predicate::{Predicate, PredicateOp};
 
 /// Label of one partition (paper §4.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +147,7 @@ impl PartitionSpace {
 
     /// Midpoint of numeric partition `j` (used when testing whether a
     /// partition "satisfies" a predicate in the confidence computation,
-    /// Eq. 3 — see `separation::partition_separation_power`).
+    /// Eq. 3 — see [`LabeledSpace::separation_power`]).
     pub fn midpoint(&self, j: usize) -> Option<f64> {
         let lb = self.lower_bound(j)?;
         Some(lb + self.width()? / 2.0)
@@ -143,9 +155,12 @@ impl PartitionSpace {
 }
 
 /// Dispatch-free partition binning for one numeric space (see
-/// [`PartitionSpace::numeric_binner`]). The floor/clamp expression is
+/// [`PartitionSpace::numeric_binner`]). The truncate/clamp expression is
 /// shared with [`PartitionSpace::index_of_num`] and is part of the
-/// pipeline's bit-identity contract.
+/// pipeline's bit-identity contract: it equals the paper's
+/// `floor((v − Min) / (Max − Min) · R)` clamped to `[0, R − 1]`, because
+/// truncation and floor differ only on negative non-integers, which the
+/// clamp sends to 0 either way (`scalar.rs` keeps the floor form).
 #[derive(Debug, Clone, Copy)]
 pub struct NumericBinner {
     min: f64,
@@ -161,8 +176,203 @@ impl NumericBinner {
         if !v.is_finite() {
             return None;
         }
-        let idx = ((v - self.min) / (self.max - self.min) * self.r as f64).floor() as isize;
+        // `as` truncates (and saturates); no `floor` call on the hot path.
+        let idx = ((v - self.min) / (self.max - self.min) * self.r as f64) as isize;
         Some(idx.clamp(0, self.r as isize - 1) as usize)
+    }
+}
+
+/// One attribute's partition space, its pre-filter labels (§4.2), and
+/// prefix counts of its `Abnormal` and `Normal` labels — everything one
+/// Eq. 3 term needs. Built once per attribute per case and shared by
+/// predicate generation (which filters and fills a copy of the labels)
+/// and cause ranking (which scores every model against the labels as
+/// they are, per DESIGN.md §1 item 4).
+#[derive(Debug, Clone, PartialEq)]
+pub struct LabeledSpace {
+    space: PartitionSpace,
+    labels: Vec<PartitionLabel>,
+    /// `abnormal_before[j]`: `Abnormal` labels among partitions `0..j`
+    /// (`labels.len() + 1` entries).
+    abnormal_before: Vec<u32>,
+    /// `normal_before[j]`: `Normal` labels among partitions `0..j`.
+    normal_before: Vec<u32>,
+}
+
+impl LabeledSpace {
+    /// Pair `space` with its `labels` and count them. The numeric Eq. 3
+    /// term relies on `space` coming from [`PartitionSpace`]'s
+    /// constructors (`max > min` with a finite width), which makes
+    /// partition midpoints non-decreasing in the partition index.
+    pub fn new(space: PartitionSpace, labels: Vec<PartitionLabel>) -> LabeledSpace {
+        let prefix = |wanted: PartitionLabel| {
+            let mut before = Vec::with_capacity(labels.len() + 1);
+            let mut count = 0u32;
+            before.push(count);
+            for &label in &labels {
+                count = count.saturating_add(u32::from(label == wanted));
+                before.push(count);
+            }
+            before
+        };
+        let abnormal_before = prefix(PartitionLabel::Abnormal);
+        let normal_before = prefix(PartitionLabel::Normal);
+        LabeledSpace { space, labels, abnormal_before, normal_before }
+    }
+
+    /// Partition and label attribute `attr_id` of `snapshot` against the
+    /// case's regions: the one builder behind generation, ranking and
+    /// [`CausalModel::confidence`](crate::CausalModel::confidence).
+    /// `None` when the attribute cannot be partitioned (see
+    /// [`PartitionSpace::build`]).
+    pub(crate) fn build(
+        snapshot: &ColumnarSnapshot<'_>,
+        attr_id: usize,
+        abnormal: &Region,
+        normal: &Region,
+        r: usize,
+    ) -> Option<LabeledSpace> {
+        let view = snapshot.column(attr_id);
+        let space = match view {
+            ColumnView::Numeric(_) => {
+                PartitionSpace::from_numeric_range(snapshot.numeric_range(attr_id), r)?
+            }
+            ColumnView::Categorical(c) => PartitionSpace::from_dictionary(c.dict)?,
+        };
+        let labels = label_partitions_view(view, &space, abnormal, normal);
+        Some(LabeledSpace::new(space, labels))
+    }
+
+    /// The partition space.
+    pub(crate) fn space(&self) -> &PartitionSpace {
+        &self.space
+    }
+
+    /// The pre-filter labels, one per partition.
+    pub(crate) fn labels(&self) -> &[PartitionLabel] {
+        &self.labels
+    }
+
+    /// One Eq. 3 term: `|Pred(P_A)| / |P_A| − |Pred(P_N)| / |P_N|` over
+    /// the labeled partitions, where a numeric partition satisfies `op`
+    /// iff its midpoint does and a categorical one iff its label does
+    /// (`dict` is the attribute's dictionary; `None` satisfies nothing).
+    /// A side with no partitions contributes `0` to its ratio.
+    ///
+    /// Numeric terms cost two binary searches instead of a pass over the
+    /// partitions; the hit counts are the same integers a pass would
+    /// count, so the result is bit-identical (DESIGN.md §1 item 4).
+    pub fn separation_power(&self, op: &PredicateOp, dict: Option<&Dictionary>) -> f64 {
+        let (abnormal_hits, normal_hits) = match self.space {
+            PartitionSpace::Numeric { .. } => {
+                let run = self.numeric_run(op);
+                let within = |before: &[u32]| match (before.get(run.start), before.get(run.end)) {
+                    (Some(&lo), Some(&hi)) if run.start < run.end => hi - lo,
+                    _ => 0,
+                };
+                (within(&self.abnormal_before), within(&self.normal_before))
+            }
+            PartitionSpace::Categorical { .. } => {
+                let table = dict.map(|dict| op.category_table(dict)).unwrap_or_default();
+                let mut hits = (0u32, 0u32);
+                for (label, _) in self.labels.iter().zip(&table).filter(|(_, &sat)| sat) {
+                    match label {
+                        PartitionLabel::Abnormal => hits.0 += 1,
+                        PartitionLabel::Normal => hits.1 += 1,
+                        PartitionLabel::Empty => {}
+                    }
+                }
+                hits
+            }
+        };
+        let total = |before: &[u32]| before.last().copied().unwrap_or(0);
+        let ratio = |hits: u32, total: u32| {
+            if total == 0 {
+                0.0
+            } else {
+                hits as f64 / total as f64
+            }
+        };
+        ratio(abnormal_hits, total(&self.abnormal_before))
+            - ratio(normal_hits, total(&self.normal_before))
+    }
+
+    /// The partitions whose midpoint satisfies a numeric `op`.
+    ///
+    /// `lower_bound(j) = min + w·j` and `midpoint(j) = lower_bound(j) + w/2`
+    /// are non-decreasing in `j` for `w ≥ 0` (every step is a monotone
+    /// rounding of a monotone exact value), so `m > lo` holds on a suffix
+    /// of the partitions and `m < hi` on a prefix: `Gt`, `Lt` and
+    /// `Between` select one contiguous run. Its ends are found by binary
+    /// search with the exact [`PartitionSpace::midpoint`] and
+    /// [`PredicateOp::matches_num`] expressions a per-partition loop would
+    /// evaluate. A NaN threshold satisfies nothing and yields an empty run;
+    /// so do `InSet` and a `Between` with `lo ≥ hi`.
+    fn numeric_run(&self, op: &PredicateOp) -> Range<usize> {
+        let n = self.labels.len();
+        let satisfies = |bound: &PredicateOp, j: usize| {
+            self.space.midpoint(j).is_some_and(|m| bound.matches_num(m))
+        };
+        let first_above = |lo: f64| partition_point(n, |j| !satisfies(&PredicateOp::Gt(lo), j));
+        let first_not_below = |hi: f64| partition_point(n, |j| satisfies(&PredicateOp::Lt(hi), j));
+        match *op {
+            PredicateOp::Gt(lo) => first_above(lo)..n,
+            PredicateOp::Lt(hi) => 0..first_not_below(hi),
+            PredicateOp::Between(lo, hi) => first_above(lo)..first_not_below(hi),
+            PredicateOp::InSet(_) => 0..0,
+        }
+    }
+}
+
+/// First index in `0..n` where `pred` is false, for a `pred` that is true
+/// on a prefix of `0..n` and false after it.
+fn partition_point(n: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The labeled partition spaces of one case: one slot per attribute id in
+/// schema order, `None` where the attribute cannot be partitioned (or was
+/// not needed). Predicate generation fills every slot as a by-product of
+/// Algorithm 1 and hands the index to ranking, which therefore partitions
+/// nothing itself.
+#[derive(Debug)]
+pub(crate) struct PartitionIndex<'a> {
+    dataset: &'a Dataset,
+    spaces: Vec<Option<LabeledSpace>>,
+}
+
+impl<'a> PartitionIndex<'a> {
+    /// Index over `dataset` from per-attribute slots.
+    pub(crate) fn new(dataset: &'a Dataset, spaces: Vec<Option<LabeledSpace>>) -> Self {
+        PartitionIndex { dataset, spaces }
+    }
+
+    /// The dataset under diagnosis (the chaos tripwire inspects its schema).
+    #[cfg(any(test, feature = "chaos"))]
+    pub(crate) fn dataset(&self) -> &'a Dataset {
+        self.dataset
+    }
+
+    /// The Eq. 3 term of `predicate` in this case; `0` for an attribute
+    /// the dataset lacks or that cannot be partitioned.
+    pub(crate) fn separation_power(&self, predicate: &Predicate) -> f64 {
+        let Some(attr_id) = self.dataset.schema().id_of(&predicate.attr) else {
+            return 0.0;
+        };
+        let Some(Some(labeled)) = self.spaces.get(attr_id) else {
+            return 0.0;
+        };
+        let dict = self.dataset.column(attr_id).categorical().map(|(_, dict)| dict);
+        labeled.separation_power(&predicate.op, dict)
     }
 }
 
@@ -194,6 +404,27 @@ mod tests {
         assert_eq!(s.index_of_num(-5.0), Some(0));
         assert_eq!(s.index_of_num(500.0), Some(3));
         assert_eq!(s.index_of_num(f64::NAN), None);
+    }
+
+    #[test]
+    fn binning_equals_the_floor_form() {
+        let floor_form = |min: f64, max: f64, r: usize, v: f64| {
+            let idx = ((v - min) / (max - min) * r as f64).floor() as isize;
+            idx.clamp(0, r as isize - 1) as usize
+        };
+        for (min, max) in [(0.0, 100.0), (-7.5, -0.25), (-1e300, 1e300), (1e-310, 3e-310)] {
+            for r in [1, 3, 250, 1000] {
+                let s = PartitionSpace::from_numeric_range(Some((min, max)), r).unwrap();
+                let step = (max - min) / 997.0;
+                for k in -50..1050 {
+                    let v = min + step * k as f64;
+                    assert_eq!(s.index_of_num(v), Some(floor_form(min, max, r, v)), "{v}");
+                }
+                for v in [min, max, -0.0, f64::MIN, f64::MAX, s.lower_bound(1).unwrap()] {
+                    assert_eq!(s.index_of_num(v), Some(floor_form(min, max, r, v)), "{v}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@ use crate::generate::{AblationFlags, GeneratedPredicate};
 use crate::params::SherlockParams;
 use crate::partition::{PartitionLabel, PartitionSpace};
 use crate::predicate::Predicate;
-use crate::separation::partition_satisfies;
 
 /// Row-wise [`Predicate::matches_row`]: one `value()` dispatch (and, for
 /// categorical attributes, one dictionary lookup) per call.
@@ -82,7 +81,11 @@ pub fn label_partitions(
             return None;
         }
         match (space, dataset.value(row, attr_id)) {
-            (PartitionSpace::Numeric { .. }, Value::Num(v)) => space.index_of_num(v),
+            // The paper's floor form, kept apart from the columnar binner.
+            (&PartitionSpace::Numeric { min, max, r }, Value::Num(v)) if v.is_finite() => {
+                let idx = ((v - min) / (max - min) * r as f64).floor() as isize;
+                Some(idx.clamp(0, r as isize - 1) as usize)
+            }
             (PartitionSpace::Categorical { .. }, Value::Cat(id)) => {
                 ((id as usize) < space.len()).then_some(id as usize)
             }
@@ -120,6 +123,35 @@ pub fn label_partitions(
             },
         })
         .collect()
+}
+
+/// Does partition `j` of `space` satisfy `predicate`?
+///
+/// The paper's confidence definition (Eq. 3) needs `Pred(P)` — "the set of
+/// partitions in P that satisfy predicate Pred" — without pinning down
+/// what it means for an interval partition to satisfy an interval
+/// predicate. We test the partition's *midpoint* for numeric spaces (a
+/// partition is far narrower than any predicate of interest at the default
+/// R, so midpoint vs. overlap is immaterial) and the partition's category
+/// label for categorical spaces.
+pub fn partition_satisfies(
+    predicate: &Predicate,
+    space: &PartitionSpace,
+    dataset: &Dataset,
+    attr_id: usize,
+    j: usize,
+) -> bool {
+    match space {
+        PartitionSpace::Numeric { .. } => {
+            space.midpoint(j).map(|m| predicate.op.matches_num(m)).unwrap_or(false)
+        }
+        PartitionSpace::Categorical { .. } => {
+            let Ok((_, dict)) = dataset.categorical(attr_id) else {
+                return false;
+            };
+            dict.label(j as u32).map(|l| predicate.op.matches_label(l)).unwrap_or(false)
+        }
+    }
 }
 
 /// Row-wise partition-space separation power (one Eq. 3 term): one
@@ -266,7 +298,7 @@ pub fn generate_predicates_ablated(
 }
 
 /// Row-wise Eq. 3: each predicate rebuilds and relabels its attribute's
-/// partition space from scratch (no per-ranking cache).
+/// partition space from scratch (no per-case index).
 pub fn confidence(
     model: &CausalModel,
     dataset: &Dataset,
@@ -399,6 +431,17 @@ mod tests {
         let scalar = rank(&repo, &d, &abnormal, &normal, &params);
         let columnar = repo.rank(&d, &abnormal, &normal, &params);
         assert_eq!(scalar, columnar);
+    }
+
+    #[test]
+    fn partition_satisfaction_uses_midpoints() {
+        let space = PartitionSpace::Numeric { min: 0.0, max: 100.0, r: 10 };
+        let (d, _, _) = dataset();
+        let p = Predicate::gt("signal", 45.0);
+        // Partition 4 covers [40,50): midpoint 45 -> not > 45.
+        assert!(!partition_satisfies(&p, &space, &d, 0, 4));
+        // Partition 5 covers [50,60): midpoint 55 -> satisfied.
+        assert!(partition_satisfies(&p, &space, &d, 0, 5));
     }
 
     #[test]

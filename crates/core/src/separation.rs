@@ -2,7 +2,7 @@
 
 use dbsherlock_telemetry::{ColumnView, Dataset, Region};
 
-use crate::partition::{PartitionLabel, PartitionSpace};
+use crate::partition::{LabeledSpace, PartitionLabel, PartitionSpace};
 use crate::predicate::{Predicate, PredicateOp};
 
 /// Tuple-level separation power (Eq. 1):
@@ -42,40 +42,13 @@ pub fn separation_power_view(
     frac(abnormal) - frac(normal)
 }
 
-/// Does partition `j` of `space` satisfy `predicate`?
-///
-/// The paper's confidence definition (Eq. 3) needs `Pred(P)` — "the set of
-/// partitions in P that satisfy predicate Pred" — without pinning down
-/// what it means for an interval partition to satisfy an interval
-/// predicate. We test the partition's *midpoint* for numeric spaces (a
-/// partition is far narrower than any predicate of interest at the default
-/// R, so midpoint vs. overlap is immaterial) and the partition's category
-/// label for categorical spaces.
-pub fn partition_satisfies(
-    predicate: &Predicate,
-    space: &PartitionSpace,
-    dataset: &Dataset,
-    attr_id: usize,
-    j: usize,
-) -> bool {
-    match space {
-        PartitionSpace::Numeric { .. } => {
-            space.midpoint(j).map(|m| predicate.op.matches_num(m)).unwrap_or(false)
-        }
-        PartitionSpace::Categorical { .. } => {
-            let Ok((_, dict)) = dataset.categorical(attr_id) else {
-                return false;
-            };
-            dict.label(j as u32).map(|l| predicate.op.matches_label(l)).unwrap_or(false)
-        }
-    }
-}
-
 /// Partition-space separation power — one term of the causal-model
 /// confidence (Eq. 3):
 /// `|Pred(P_A)| / |P_A| − |Pred(P_N)| / |P_N|` over the *labeled*
 /// partitions of the diagnosis-time dataset. A side with no partitions
-/// contributes `0` to its ratio.
+/// contributes `0` to its ratio. A thin wrapper over
+/// [`LabeledSpace::separation_power`], which defines what it means for a
+/// partition to satisfy a predicate (DESIGN.md §1 item 4).
 pub fn partition_separation_power(
     predicate: &Predicate,
     space: &PartitionSpace,
@@ -83,51 +56,11 @@ pub fn partition_separation_power(
     dataset: &Dataset,
     attr_id: usize,
 ) -> f64 {
-    // Resolve satisfaction once per column: midpoint tests stay per-
-    // partition arithmetic, categorical tests become one dictionary
-    // lookup per distinct category instead of one per labeled partition.
-    let satisfies: Vec<bool> = match space {
-        PartitionSpace::Numeric { .. } => (0..labels.len())
-            .map(|j| space.midpoint(j).map(|m| predicate.op.matches_num(m)).unwrap_or(false))
-            .collect(),
-        PartitionSpace::Categorical { .. } => match dataset.categorical(attr_id) {
-            Ok((_, dict)) => {
-                let table = predicate.op.category_table(dict);
-                (0..labels.len()).map(|j| table.get(j).copied().unwrap_or(false)).collect()
-            }
-            Err(_) => vec![false; labels.len()],
-        },
+    let dict = match space {
+        PartitionSpace::Numeric { .. } => None,
+        PartitionSpace::Categorical { .. } => dataset.categorical(attr_id).ok().map(|(_, d)| d),
     };
-    let mut abnormal_total = 0usize;
-    let mut abnormal_hits = 0usize;
-    let mut normal_total = 0usize;
-    let mut normal_hits = 0usize;
-    for (j, &label) in labels.iter().enumerate() {
-        let sat = satisfies.get(j).copied().unwrap_or(false);
-        match label {
-            PartitionLabel::Abnormal => {
-                abnormal_total += 1;
-                if sat {
-                    abnormal_hits += 1;
-                }
-            }
-            PartitionLabel::Normal => {
-                normal_total += 1;
-                if sat {
-                    normal_hits += 1;
-                }
-            }
-            PartitionLabel::Empty => {}
-        }
-    }
-    let ratio = |hits: usize, total: usize| {
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    };
-    ratio(abnormal_hits, abnormal_total) - ratio(normal_hits, normal_total)
+    LabeledSpace::new(space.clone(), labels.to_vec()).separation_power(&predicate.op, dict)
 }
 
 /// Sanity helper: a predicate op directed "upwards" (`Gt`) vs "downwards"
@@ -172,17 +105,6 @@ mod tests {
         let p = Predicate::gt("x", 2.5);
         let sp = separation_power(&p, &d, &Region::from_range(0..2), &Region::from_range(2..4));
         assert!((-1.0..=1.0).contains(&sp));
-    }
-
-    #[test]
-    fn partition_satisfaction_uses_midpoints() {
-        let space = PartitionSpace::Numeric { min: 0.0, max: 100.0, r: 10 };
-        let d = dataset(&[0.0, 100.0]);
-        let p = Predicate::gt("x", 45.0);
-        // Partition 4 covers [40,50): midpoint 45 -> not > 45.
-        assert!(!partition_satisfies(&p, &space, &d, 0, 4));
-        // Partition 5 covers [50,60): midpoint 55 -> satisfied.
-        assert!(partition_satisfies(&p, &space, &d, 0, 5));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! must produce bit-identical predicates, ranking, and confidences on
 //! arbitrary data, and `explain_batch` must return results in case order.
 
+use dbsherlock::core::{partition_separation_power, LabeledSpace, PartitionLabel, PartitionSpace};
 use dbsherlock::prelude::*;
 use proptest::prelude::*;
 
@@ -288,5 +289,154 @@ fn explain_batch_equals_serial_loop_bit_for_bit() {
     let batched = threaded.explain_batch(&cases);
     for (a, b) in looped.iter().zip(&batched) {
         assert_eq!(observe(a), observe(b.as_ref().unwrap()));
+    }
+}
+
+/// Splitmix64 step: the label and threshold draws of the Eq. 3 term
+/// properties, derived from one drawn seed.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `n` random partition labels; `empty_per_mille` of them `Empty`, the
+/// rest split evenly between `Abnormal` and `Normal`.
+fn random_labels(n: usize, empty_per_mille: u64, state: &mut u64) -> Vec<PartitionLabel> {
+    (0..n)
+        .map(|_| {
+            let draw = splitmix(state) % 2000;
+            if draw < 2 * empty_per_mille {
+                PartitionLabel::Empty
+            } else if draw & 1 == 0 {
+                PartitionLabel::Abnormal
+            } else {
+                PartitionLabel::Normal
+            }
+        })
+        .collect()
+}
+
+/// The numeric domain of shape `shape`: 0 ordinary, 1 tiny (subnormal
+/// partition widths, so neighbouring midpoints tie), 2 huge (width near
+/// `f64::MAX`), 3 all-negative, 4 symmetric about zero.
+fn numeric_domain(shape: usize, a: f64, b: f64) -> (f64, f64) {
+    match shape {
+        0 => (a * 1000.0, a * 1000.0 + (b + 1e-3) * 1000.0),
+        1 => (a * 1e-300, a * 1e-300 + (b + 1e-3) * 1e-305),
+        2 => (-(b + 0.1) * 8e307, (a.abs() + 0.1) * 8e307),
+        3 => (-1e6 * (1.0 + b), -1e6 * (1.0 + b) + (a.abs() + 1e-3) * 1e3),
+        _ => (-(b + 1e-3), b + 1e-3),
+    }
+}
+
+/// Thresholds for numeric ops over `space`: partition midpoints (exact
+/// ties with the satisfaction test), their neighbouring floats, the
+/// domain ends, signed zeros, infinities and NaN.
+fn thresholds(space: &PartitionSpace, state: &mut u64) -> Vec<f64> {
+    let n = space.len();
+    let mut out = vec![0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    if let PartitionSpace::Numeric { min, max, .. } = *space {
+        out.extend([min, max]);
+    }
+    for _ in 0..6 {
+        let j = (splitmix(state) % n as u64) as usize;
+        let m = space.midpoint(j).unwrap();
+        out.extend([m, f64::from_bits(m.to_bits().wrapping_add(1)), -m]);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The shared Eq. 3 term over a `LabeledSpace` (binary search over
+    /// midpoints, prefix counts) is bit-identical to the scalar oracle's
+    /// per-partition loop, for every op kind — including ops whose kind
+    /// does not match the space.
+    #[test]
+    fn labeled_space_term_is_bit_identical_to_scalar_oracle(
+        r in 1usize..=1000,
+        shape in 0usize..5,
+        a in -1.0_f64..1.0,
+        b in 0.0_f64..1.0,
+        empty_per_mille in 0u64..=1000,
+        seed in 0u64..u64::MAX,
+    ) {
+        use dbsherlock::core::scalar;
+        let mut state = seed;
+        let (min, max) = numeric_domain(shape, a, b);
+        let space = PartitionSpace::from_numeric_range(Some((min, max)), r);
+        prop_assume!(space.is_some());
+        let space = space.unwrap();
+        let labels = random_labels(space.len(), empty_per_mille, &mut state);
+        let labeled = LabeledSpace::new(space.clone(), labels.clone());
+        let d = Dataset::new(Schema::from_attrs([AttributeMeta::numeric("x")]).unwrap());
+
+        let cuts = thresholds(&space, &mut state);
+        let mut ops: Vec<PredicateOp> = vec![PredicateOp::InSet(vec!["x".into()])];
+        for (i, &x) in cuts.iter().enumerate() {
+            ops.push(PredicateOp::Gt(x));
+            ops.push(PredicateOp::Lt(x));
+            let y = cuts[(splitmix(&mut state) as usize) % cuts.len()];
+            ops.push(PredicateOp::Between(x, y));
+            ops.push(PredicateOp::Between(y, x));
+            ops.push(PredicateOp::Between(x, cuts[(i + 1) % cuts.len()]));
+            ops.push(PredicateOp::Between(x, x));
+        }
+        for op in ops {
+            let pred = Predicate { attr: "x".into(), op };
+            let oracle = scalar::partition_separation_power(&pred, &space, &labels, &d, 0);
+            let indexed = labeled.separation_power(&pred.op, None);
+            let wrapped = partition_separation_power(&pred, &space, &labels, &d, 0);
+            prop_assert_eq!(indexed.to_bits(), oracle.to_bits(), "{:?} over {:?}", pred.op, space);
+            prop_assert_eq!(wrapped.to_bits(), oracle.to_bits(), "{:?} over {:?}", pred.op, space);
+        }
+    }
+
+    /// Same for categorical spaces: `InSet` terms resolve through the
+    /// dictionary, numeric ops on a categorical space satisfy nothing.
+    #[test]
+    fn categorical_term_is_bit_identical_to_scalar_oracle(
+        n in 1usize..40,
+        empty_per_mille in 0u64..=1000,
+        seed in 0u64..u64::MAX,
+    ) {
+        use dbsherlock::core::scalar;
+        let mut state = seed;
+        let mut d = Dataset::new(Schema::from_attrs([AttributeMeta::categorical("c")]).unwrap());
+        for k in 0..n {
+            let id = d.intern(0, &format!("c{k}")).unwrap();
+            d.push_row(k as f64, &[id]).unwrap();
+        }
+        let space = PartitionSpace::build(&d, 0, 250).unwrap();
+        let labels = random_labels(space.len(), empty_per_mille, &mut state);
+        let labeled = LabeledSpace::new(space.clone(), labels.clone());
+        let dict = d.categorical(0).ok().map(|(_, dict)| dict);
+
+        let mut ops = vec![
+            PredicateOp::InSet(Vec::new()),
+            PredicateOp::InSet(vec!["not a category".into()]),
+            PredicateOp::Gt(0.5),
+            PredicateOp::Lt(f64::INFINITY),
+            PredicateOp::Between(f64::NEG_INFINITY, f64::INFINITY),
+        ];
+        for _ in 0..4 {
+            let set = (0..n)
+                .filter(|_| splitmix(&mut state) % 3 == 1)
+                .map(|k| format!("c{k}"))
+                .collect();
+            ops.push(PredicateOp::InSet(set));
+        }
+        for op in ops {
+            let pred = Predicate { attr: "c".into(), op };
+            let oracle = scalar::partition_separation_power(&pred, &space, &labels, &d, 0);
+            let indexed = labeled.separation_power(&pred.op, dict);
+            let wrapped = partition_separation_power(&pred, &space, &labels, &d, 0);
+            prop_assert_eq!(indexed.to_bits(), oracle.to_bits(), "{:?}", pred.op);
+            prop_assert_eq!(wrapped.to_bits(), oracle.to_bits(), "{:?}", pred.op);
+        }
     }
 }

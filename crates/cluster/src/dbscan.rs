@@ -6,6 +6,11 @@
 //! faithful, quadratic-time implementation — the detector runs on a few
 //! hundred one-second samples, where O(n²) neighbour queries are cheap and
 //! an index would be noise.
+//!
+//! There is one implementation, [`dbscan_by`], driven by a neighbourhood
+//! predicate. [`dbscan`] feeds it Euclidean distances over points; the
+//! detector feeds it the distance matrix it already built for the k-dist
+//! list, so DBSCAN computes no distance of its own there.
 
 use crate::distance::{euclidean, Point};
 
@@ -51,9 +56,9 @@ impl Clustering {
     /// Cluster sizes indexed by cluster id.
     pub fn sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.n_clusters];
-        for label in &self.labels {
-            if let Some(id) = label.cluster() {
-                sizes[id] += 1;
+        for id in self.labels.iter().filter_map(|label| label.cluster()) {
+            if let Some(size) = sizes.get_mut(id) {
+                *size += 1;
             }
         }
         sizes
@@ -64,41 +69,53 @@ impl Clustering {
 /// `min_pts` (a point is *core* when at least `min_pts` points — including
 /// itself — lie within `eps`).
 pub fn dbscan(points: &[Point], eps: f64, min_pts: usize) -> Clustering {
-    let n = points.len();
+    dbscan_by(points.len(), min_pts, |i, j| {
+        points.get(i).zip(points.get(j)).is_some_and(|(a, b)| euclidean(a, b) <= eps)
+    })
+}
+
+/// DBSCAN over `n` points whose `eps`-neighbourhoods are given by the
+/// predicate `within(i, j)`: "point `j` lies within `eps` of point `i`".
+/// [`dbscan`] supplies it from Euclidean distances; a caller that already
+/// holds the pairwise distances (the §7 detector keeps an `n × n` matrix
+/// for the k-dist list) reads them instead of computing each twice. Labels
+/// depend only on the predicate's answers, so two predicates that agree on
+/// every pair give the same clustering.
+pub fn dbscan_by(n: usize, min_pts: usize, within: impl Fn(usize, usize) -> bool) -> Clustering {
     const UNVISITED: usize = usize::MAX;
     const NOISE: usize = usize::MAX - 1;
     let mut assignment = vec![UNVISITED; n];
     let mut n_clusters = 0usize;
 
-    let neighbours = |i: usize| -> Vec<usize> {
-        (0..n).filter(|&j| euclidean(&points[i], &points[j]) <= eps).collect()
-    };
+    let neighbours = |i: usize| -> Vec<usize> { (0..n).filter(|&j| within(i, j)).collect() };
 
     for i in 0..n {
-        if assignment[i] != UNVISITED {
+        if assignment.get(i) != Some(&UNVISITED) {
             continue;
         }
         let seeds = neighbours(i);
-        if seeds.len() < min_pts {
-            assignment[i] = NOISE;
+        let core = seeds.len() >= min_pts;
+        let cluster = n_clusters;
+        if let Some(slot) = assignment.get_mut(i) {
+            *slot = if core { cluster } else { NOISE };
+        }
+        if !core {
             continue;
         }
-        let cluster = n_clusters;
         n_clusters += 1;
-        assignment[i] = cluster;
         let mut queue: Vec<usize> = seeds;
         let mut cursor = 0;
-        while cursor < queue.len() {
-            let j = queue[cursor];
+        while let Some(&j) = queue.get(cursor) {
             cursor += 1;
-            if assignment[j] == NOISE {
+            let Some(slot) = assignment.get_mut(j) else { continue };
+            if *slot == NOISE {
                 // Border point: density-reachable, joins the cluster.
-                assignment[j] = cluster;
+                *slot = cluster;
             }
-            if assignment[j] != UNVISITED {
+            if *slot != UNVISITED {
                 continue;
             }
-            assignment[j] = cluster;
+            *slot = cluster;
             let j_neighbours = neighbours(j);
             if j_neighbours.len() >= min_pts {
                 queue.extend(j_neighbours);

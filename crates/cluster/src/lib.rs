@@ -24,11 +24,29 @@
 //! let clustering = dbscan(&points, eps, 3);
 //! assert_eq!(clustering.n_clusters, 2);
 //! ```
+//!
+//! DBSCAN has one implementation, [`dbscan_by`], which takes each point's
+//! `ε`-neighbourhood as a predicate `within(i, j)`. [`dbscan`] feeds it
+//! Euclidean distances over the points. A caller that already holds the
+//! pairwise distances — DBSherlock's detector keeps an `n × n` matrix for
+//! its k-dist list — passes a lookup instead and gets the same labels:
+//!
+//! ```
+//! use dbsherlock_cluster::{dbscan, dbscan_by, euclidean};
+//!
+//! let points: Vec<Vec<f64>> = vec![vec![0.0], vec![0.1], vec![0.2], vec![5.0]];
+//! let n = points.len();
+//! let matrix: Vec<f64> =
+//!     points.iter().flat_map(|a| points.iter().map(move |b| euclidean(a, b))).collect();
+//! let from_matrix = dbscan_by(n, 3, |i, j| matrix[i * n + j] <= 0.15);
+//! assert_eq!(from_matrix.labels, dbscan(&points, 0.15, 3).labels);
+//! assert_eq!(from_matrix.n_clusters, 1);
+//! ```
 
 pub mod dbscan;
 pub mod distance;
 pub mod kdist;
 
-pub use dbscan::{dbscan, Clustering, Label};
+pub use dbscan::{dbscan, dbscan_by, Clustering, Label};
 pub use distance::{euclidean, rows_from_columns, Point};
 pub use kdist::{epsilon_from_kdist, kdist_list, kdist_of};

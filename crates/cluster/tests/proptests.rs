@@ -1,7 +1,7 @@
 //! Property-based tests for the clustering substrate: DBSCAN results must
 //! always be *valid clusterings* in the Ester et al. sense.
 
-use dbsherlock_cluster::{dbscan, euclidean, kdist_list, Label, Point};
+use dbsherlock_cluster::{dbscan, dbscan_by, euclidean, kdist_list, Label, Point};
 use proptest::prelude::*;
 
 fn points_strategy() -> impl Strategy<Value = Vec<Point>> {
@@ -84,5 +84,30 @@ proptest! {
             prop_assert!(*a >= 0.0);
             prop_assert!(b >= a, "k-dist must grow with k");
         }
+    }
+
+    /// DBSCAN driven by a precomputed `n × n` distance matrix (the §7
+    /// detector's path) labels every point exactly as `dbscan` over the
+    /// points does, duplicates and all.
+    #[test]
+    fn matrix_driven_dbscan_matches_point_dbscan(
+        points in points_strategy(),
+        duplicates in proptest::collection::vec(0usize..60, 0..8),
+        eps in 0.0_f64..5.0,
+        min_pts in 1usize..6,
+    ) {
+        let mut points = points;
+        for &k in &duplicates {
+            if let Some(p) = points.get(k % points.len().max(1)).cloned() {
+                points.push(p);
+            }
+        }
+        let n = points.len();
+        let matrix: Vec<f64> =
+            points.iter().flat_map(|a| points.iter().map(move |b| euclidean(a, b))).collect();
+        let from_matrix = dbscan_by(n, min_pts, |i, j| matrix[i * n + j] <= eps);
+        let from_points = dbscan(&points, eps, min_pts);
+        prop_assert_eq!(from_matrix.labels, from_points.labels);
+        prop_assert_eq!(from_matrix.n_clusters, from_points.n_clusters);
     }
 }

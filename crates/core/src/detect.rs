@@ -5,9 +5,14 @@
 //!    absolute difference between the attribute's overall median and the
 //!    median within any sliding window of size `τ` — a median filter that
 //!    responds to abrupt, sustained level shifts while ignoring isolated
-//!    spikes. Keep attributes with `PP > PP_t`.
+//!    spikes. Keep attributes with `PP > PP_t`. The window stays sorted
+//!    as it slides (the leaving value is replaced by the entering one in
+//!    place), and an attribute's scan stops at the first window past
+//!    `PP_t`.
 //! 3. Cluster the rows (as points over the selected attributes) with
 //!    DBSCAN, `minPts = 3` and `ε = max(L_3)/4` from the k-dist list.
+//!    One `n × n` distance matrix serves both: each point's row yields its
+//!    k-dist by selection, and DBSCAN's neighbourhoods read the same rows.
 //!    One refinement over the paper's rule: `ε` is floored at twice the
 //!    99th percentile of `L_3`, so it never drops below the data's own
 //!    local density (with step-shaped anomalies there are no transition
@@ -18,7 +23,7 @@
 //!    anomalies are assumed to be a small minority (§7). Points DBSCAN
 //!    labels as noise are not reported, per the paper.
 
-use dbsherlock_cluster::{dbscan, kdist_of, rows_from_columns, Label};
+use dbsherlock_cluster::{dbscan_by, euclidean, Label};
 use dbsherlock_telemetry::{stats, AttributeKind, Dataset, Region};
 
 use crate::budget::ArmedBudget;
@@ -29,25 +34,87 @@ use crate::params::SherlockParams;
 /// Potential power of a normalized series (Eq. 4): the largest absolute
 /// deviation of any `tau`-window median from the global median.
 pub fn potential_power(normalized: &[f64], tau: usize) -> f64 {
-    if normalized.is_empty() || tau == 0 || tau > normalized.len() {
+    window_medians(normalized, tau, f64::INFINITY)
+}
+
+/// Scan the `tau`-window medians of `normalized` left to right and return
+/// the largest `|window median − global median|` seen, stopping at the
+/// first window whose deviation exceeds `stop_above`. Hence
+/// `window_medians(x, τ, t) > t` exactly when `potential_power(x, τ) > t`,
+/// and with `stop_above = ∞` the result *is* the potential power.
+///
+/// The window is kept sorted and each slide replaces the leaving value by
+/// the entering one in place ([`replace_sorted`]), instead of copying the
+/// window and selecting its median afresh. The median of the sorted window
+/// is the same order statistic (and the same even-`τ` average) that
+/// [`stats::median_in_place`] computes.
+pub fn window_medians(normalized: &[f64], tau: usize, stop_above: f64) -> f64 {
+    let (Some(first), Some(entering)) = (normalized.get(..tau), normalized.get(tau..)) else {
+        return 0.0;
+    };
+    if first.is_empty() {
         return 0.0;
     }
     let global = stats::median(normalized);
-    let mut scratch = vec![0.0; tau];
+    let mut window = first.to_vec();
+    window.sort_by(f64::total_cmp);
     let mut best: f64 = 0.0;
-    for window in normalized.windows(tau) {
-        scratch.copy_from_slice(window);
-        let m = stats::median_in_place(&mut scratch);
-        best = best.max((m - global).abs());
+    // Window k+1 drops `normalized[k]` and takes `normalized[k + tau]`.
+    let mut slides = normalized.iter().zip(entering);
+    loop {
+        best = best.max((sorted_median(&window) - global).abs());
+        if best > stop_above {
+            break;
+        }
+        let Some((&leaving, &entering)) = slides.next() else { break };
+        replace_sorted(&mut window, leaving, entering);
     }
     best
+}
+
+/// Replace one copy of `leaving` in the ascending (`total_cmp`) `window`
+/// by `entering`, keeping it sorted: the vacated slot, found by binary
+/// search, moves toward `entering`'s place, shifting each element it
+/// passes by one.
+fn replace_sorted(window: &mut [f64], leaving: f64, entering: f64) {
+    let mut at = window.partition_point(|v| v.total_cmp(&leaving).is_lt());
+    while let Some(&next) = window.get(at + 1).filter(|v| v.total_cmp(&entering).is_lt()) {
+        if let Some(slot) = window.get_mut(at) {
+            *slot = next;
+        }
+        at += 1;
+    }
+    while let Some(&prev) =
+        at.checked_sub(1).and_then(|lo| window.get(lo)).filter(|v| v.total_cmp(&entering).is_gt())
+    {
+        if let Some(slot) = window.get_mut(at) {
+            *slot = prev;
+        }
+        at -= 1;
+    }
+    if let Some(slot) = window.get_mut(at) {
+        *slot = entering;
+    }
+}
+
+/// Median of an ascending (`total_cmp`) slice: the middle element, or the
+/// mean of the two middle elements for even lengths.
+fn sorted_median(sorted: &[f64]) -> f64 {
+    let mid = sorted.len() / 2;
+    let upper = sorted.get(mid).copied().unwrap_or(0.0);
+    if sorted.len() % 2 == 1 {
+        return upper;
+    }
+    let lower = mid.checked_sub(1).and_then(|lo| sorted.get(lo)).copied().unwrap_or(upper);
+    (lower + upper) / 2.0
 }
 
 /// Attribute ids whose potential power exceeds `PP_t`, with their
 /// normalized columns. The per-attribute median filter is the detector's
 /// first O(rows × attrs) stage, so it fans out across the thread budget;
-/// collection by index keeps schema order. Budget-checked per attribute;
-/// panics are caught at the attribute slot.
+/// collection by index keeps schema order. Each scan stops at the first
+/// window past `PP_t`, since only `PP > PP_t` matters here. Budget-checked
+/// per attribute; panics are caught at the attribute slot.
 fn select_attributes(
     dataset: &Dataset,
     params: &SherlockParams,
@@ -58,7 +125,7 @@ fn select_attributes(
         budget.check("detect")?;
         let Some(values) = dataset.numeric(attr_id) else { return Ok(None) };
         let normalized = stats::normalize_slice(values);
-        let pp = potential_power(&normalized, params.tau);
+        let pp = window_medians(&normalized, params.tau, params.pp_t);
         Ok((pp > params.pp_t).then_some((attr_id, normalized)))
     });
     let mut selected = Vec::new();
@@ -68,6 +135,21 @@ fn select_attributes(
         }
     }
     Ok(selected)
+}
+
+/// Distance from point `i` to its `k`-th nearest *other* point, read from
+/// `row` (point `i`'s distances to every point, itself included) by
+/// selection rather than a sort. Same conventions as
+/// [`kdist_of`](dbsherlock_cluster::kdist_of): fewer than `k` neighbours
+/// report the farthest, a singleton reports `0`.
+fn kdist_from_row(row: &[f64], i: usize, k: usize) -> f64 {
+    let mut others = row.to_vec();
+    if i < others.len() {
+        others.swap_remove(i);
+    }
+    let Some(last) = others.len().checked_sub(1) else { return 0.0 };
+    let (_, kth, _) = others.select_nth_unstable_by(k.saturating_sub(1).min(last), f64::total_cmp);
+    *kth
 }
 
 /// Result of automatic detection.
@@ -93,7 +175,7 @@ pub fn detect_anomaly(dataset: &Dataset, params: &SherlockParams) -> Option<Dete
 
 /// [`detect_anomaly`] under a [`DiagnosisBudget`](crate::DiagnosisBudget):
 /// cooperative deadline/cancellation checks before each attribute's median
-/// filter and each point's k-dist scan, size admission up front, and
+/// filter and each point's distance row, size admission up front, and
 /// per-slot panic isolation. Within budget, output is identical to
 /// [`detect_anomaly`].
 pub fn try_detect_anomaly(
@@ -106,21 +188,32 @@ pub fn try_detect_anomaly(
     if selected.is_empty() {
         return Ok(None);
     }
-    let columns: Vec<&[f64]> = selected.iter().map(|(_, col)| col.as_slice()).collect();
-    let points = rows_from_columns(&columns);
-    if points.len() < params.min_pts {
+    let n = selected.first().map_or(0, |(_, col)| col.len());
+    if n < params.min_pts {
         return Ok(None);
     }
-    // O(n²) pairwise scan, one independent row per point: the detector's
-    // dominant cost, mapped across the thread budget.
-    let indices: Vec<usize> = (0..points.len()).collect();
-    let lk_slots = try_par_map_indexed(params.exec, "detect", &indices, |_, &i| {
+    // The selected columns as one row-major n × d point buffer.
+    let d = selected.len();
+    let points: Vec<f64> = (0..n)
+        .flat_map(|r| selected.iter().map(move |(_, col)| col.get(r).copied().unwrap_or(0.0)))
+        .collect();
+    let point = |i: usize| points.get(i * d..(i + 1) * d).unwrap_or_default();
+    // The O(n²) pairwise scan, one independent row per point, mapped
+    // across the thread budget. No distance is computed anywhere else:
+    // the k-dist list and DBSCAN both read this matrix.
+    let indices: Vec<usize> = (0..n).collect();
+    let row_slots = try_par_map_indexed(params.exec, "detect", &indices, |_, &i| {
         budget.check("detect")?;
-        Ok(kdist_of(&points, i, params.min_pts))
+        let row: Vec<f64> = (0..n).map(|j| euclidean(point(i), point(j))).collect();
+        let lk = kdist_from_row(&row, i, params.min_pts);
+        Ok((row, lk))
     });
-    let mut lk: Vec<f64> = Vec::with_capacity(lk_slots.len());
-    for slot in lk_slots {
-        lk.push(slot?);
+    let mut matrix: Vec<Vec<f64>> = Vec::with_capacity(n);
+    let mut lk: Vec<f64> = Vec::with_capacity(n);
+    for slot in row_slots {
+        let (row, dist) = slot?;
+        matrix.push(row);
+        lk.push(dist);
     }
     let max_lk = lk.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     if max_lk <= 0.0 || !max_lk.is_finite() {
@@ -131,20 +224,17 @@ pub fn try_detect_anomaly(
     // internally connected even when there are no transition points to
     // prop up max(L_k).
     let eps = (max_lk / 4.0).max(2.0 * stats::quantile(&lk, 0.99));
-    let clustering = dbscan(&points, eps, params.min_pts);
-    let n = points.len();
+    let clustering = dbscan_by(n, params.min_pts, |i, j| {
+        matrix.get(i).and_then(|row| row.get(j)).is_some_and(|&dist| dist <= eps)
+    });
     let max_cluster = (params.max_anomaly_fraction * n as f64) as usize;
     let sizes = clustering.sizes();
-    let mut rows: Vec<usize> = Vec::new();
-    for (row, label) in clustering.labels.iter().enumerate() {
-        let anomalous = match label {
-            Label::Noise => false,
-            Label::Cluster(id) => sizes[*id] < max_cluster,
-        };
-        if anomalous {
-            rows.push(row);
-        }
-    }
+    let rows: Vec<usize> = (0..n)
+        .filter(|&row| match clustering.labels.get(row) {
+            Some(Label::Cluster(id)) => sizes.get(*id).is_some_and(|&size| size < max_cluster),
+            _ => false,
+        })
+        .collect();
     if rows.is_empty() || rows.len() >= n {
         return Ok(None);
     }

@@ -77,7 +77,7 @@ pub use actions::{ActionLog, AutoAction, AutoRemediationPolicy, Decision, Remedi
 pub use argv::ArgScan;
 pub use budget::{ArmedBudget, CancelFlag, DiagnosisBudget};
 pub use causal::{Accuracy, CausalModel, ModelRepository, RankedCause};
-pub use detect::{detect_anomaly, potential_power, try_detect_anomaly, Detection};
+pub use detect::{detect_anomaly, potential_power, try_detect_anomaly, window_medians, Detection};
 pub use diagnose::{Case, Explanation, Sherlock};
 pub use domain::{independence_factor, DomainKnowledge, Rule};
 pub use error::SherlockError;

@@ -5,19 +5,24 @@
 //! [`Dataset::value`], paying the column-enum dispatch per row that the
 //! columnar kernels in [`label`](crate::label), [`predicate`](crate::predicate),
 //! [`separation`](crate::separation), and [`generate`](crate::generate)
-//! hoist out of their loops. The columnar rewrite is required to be
-//! **bit-identical** to this module on valid inputs — the determinism
-//! proptests diff the two paths, and the scaling benchmark
-//! (`columnar_scaling`) uses this module as its scalar baseline.
+//! hoist out of their loops. It also keeps the §7 detector in its
+//! straightforward form ([`detect_anomaly`]): a fresh median per window, a
+//! sorted k-dist list per point, and DBSCAN recomputing its distances.
+//! The optimized paths are required to be **bit-identical** to this module
+//! on valid inputs — the determinism proptests diff the two paths, and the
+//! scaling benchmark (`columnar_scaling`) uses this module as its scalar
+//! baseline.
 //!
 //! Compiled only for tests and under the `scalar-shim` feature; production
 //! builds carry no row-wise code.
 
 #![allow(deprecated)] // the whole point of this module is per-cell `value()`
 
-use dbsherlock_telemetry::{AttributeKind, Dataset, Region, Value};
+use dbsherlock_cluster::{dbscan, kdist_of, rows_from_columns, Label};
+use dbsherlock_telemetry::{stats, AttributeKind, Dataset, Region, Value};
 
 use crate::causal::{CausalModel, ModelRepository, RankedCause};
+use crate::detect::Detection;
 use crate::extract::{extract_categorical, extract_numeric};
 use crate::fill::fill_gaps;
 use crate::filter::filter_partitions;
@@ -362,6 +367,74 @@ pub fn rank(
     ranked
         .sort_by(|a, b| b.confidence.total_cmp(&a.confidence).then_with(|| a.cause.cmp(&b.cause)));
     ranked
+}
+
+/// §7 potential power (Eq. 4) as a fresh median per window: every
+/// `tau`-window is copied and its median selected, and the scan always runs
+/// to the end. The oracle for [`crate::detect::potential_power`] and
+/// [`crate::detect::window_medians`].
+pub fn potential_power(normalized: &[f64], tau: usize) -> f64 {
+    if normalized.is_empty() || tau == 0 || tau > normalized.len() {
+        return 0.0;
+    }
+    let global = stats::median(normalized);
+    let mut scratch = vec![0.0; tau];
+    let mut best: f64 = 0.0;
+    for window in normalized.windows(tau) {
+        scratch.copy_from_slice(window);
+        let m = stats::median_in_place(&mut scratch);
+        best = best.max((m - global).abs());
+    }
+    best
+}
+
+/// §7 automatic detection, serial and with every piece of work done where
+/// the paper describes it: [`potential_power`] over each whole column, a
+/// k-dist list that sorts each point's distances to all others
+/// ([`kdist_of`]), and DBSCAN over the points recomputing every distance
+/// it needs. The oracle for [`crate::detect::try_detect_anomaly`].
+pub fn detect_anomaly(dataset: &Dataset, params: &SherlockParams) -> Option<Detection> {
+    let selected: Vec<(usize, Vec<f64>)> = dataset
+        .schema()
+        .ids_of_kind(AttributeKind::Numeric)
+        .into_iter()
+        .filter_map(|attr_id| {
+            let normalized = stats::normalize_slice(dataset.numeric(attr_id)?);
+            (potential_power(&normalized, params.tau) > params.pp_t)
+                .then_some((attr_id, normalized))
+        })
+        .collect();
+    if selected.is_empty() {
+        return None;
+    }
+    let columns: Vec<&[f64]> = selected.iter().map(|(_, col)| col.as_slice()).collect();
+    let points = rows_from_columns(&columns);
+    if points.len() < params.min_pts {
+        return None;
+    }
+    let lk: Vec<f64> = (0..points.len()).map(|i| kdist_of(&points, i, params.min_pts)).collect();
+    let max_lk = lk.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if max_lk <= 0.0 || !max_lk.is_finite() {
+        return None;
+    }
+    let eps = (max_lk / 4.0).max(2.0 * stats::quantile(&lk, 0.99));
+    let clustering = dbscan(&points, eps, params.min_pts);
+    let n = points.len();
+    let max_cluster = (params.max_anomaly_fraction * n as f64) as usize;
+    let sizes = clustering.sizes();
+    let rows: Vec<usize> = (0..n)
+        .filter(|&row| match clustering.labels.get(row) {
+            Some(Label::Cluster(id)) => sizes.get(*id).is_some_and(|&size| size < max_cluster),
+            _ => false,
+        })
+        .collect();
+    if rows.is_empty() || rows.len() >= n {
+        return None;
+    }
+    Some(Detection {
+        region: Region::from_indices(rows),
+        selected_attrs: selected.into_iter().map(|(id, _)| id).collect(),
+    })
 }
 
 #[cfg(test)]

@@ -138,6 +138,7 @@ proptest! {
     /// has the empty set as identity — i.e. `(TaintSet, |)` is a
     /// bounded join-semilattice, so the fixed points below exist.
     #[test]
+    #[allow(clippy::identity_op)] // `a | 0` is the identity law under test
     fn join_is_a_semilattice(a in 0..=TOP, b in 0..=TOP, c in 0..=TOP) {
         prop_assert_eq!(a | a, a);
         prop_assert_eq!(a | b, b | a);

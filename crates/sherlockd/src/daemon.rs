@@ -57,7 +57,8 @@ pub struct DaemonConfig {
     /// Grace period for in-flight diagnoses on drain before cooperative
     /// cancellation kicks in.
     pub drain_deadline_ms: u64,
-    /// Algorithm parameters (budget/deadline included).
+    /// Algorithm parameters (budget/deadline included). Diagnoses run
+    /// [`ExecPolicy::Serial`] by default.
     pub params: SherlockParams,
     /// Where to load models from at startup and save them on drain.
     pub store_path: Option<std::path::PathBuf>,
@@ -73,7 +74,10 @@ impl Default for DaemonConfig {
             max_pending: 32,
             workers: 2,
             drain_deadline_ms: 2_000,
-            params: SherlockParams::default(),
+            // Workers are the parallelism: a diagnosis fanning out onto
+            // scoped threads inside each worker oversubscribes the CPUs and
+            // makes every diagnosis slower.
+            params: SherlockParams::default().with_exec(ExecPolicy::Serial),
             store_path: None,
         }
     }

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dbsherlock_core::{ArgScan, ExecPolicy, SherlockParams};
+use dbsherlock_core::ArgScan;
 use dbsherlock_sherlockd::daemon::{Daemon, DaemonConfig, Session};
 use dbsherlock_sherlockd::net::{self, NetConfig};
 use dbsherlock_sherlockd::{LineOutcome, LineReader, ReadEvent, Response};
@@ -63,7 +63,8 @@ MODELS:
                        and save (verified) on drain
 
 DIAGNOSIS:
-  --threads N|serial|auto   thread budget for the pipeline stages
+  --threads N|serial|auto   thread budget inside each diagnosis (default serial:
+                            the workers are the parallelism)
   --deadline-ms N      per-diagnosis wall-clock deadline
   --max-rows N         reject diagnoses over datasets larger than N rows
   --max-partitions N   reject diagnoses with more than N partitions
@@ -81,16 +82,14 @@ DAEMON:
 ";
 
 fn config_from(scan: &ArgScan<'_>) -> Result<(DaemonConfig, NetConfig), String> {
-    let mut params = SherlockParams::default();
+    let defaults = DaemonConfig::default();
+    let mut params = defaults.params.clone();
     if let Some(exec) = scan.exec_policy()? {
         params = params.with_exec(exec);
-    } else {
-        params = params.with_exec(ExecPolicy::Serial); // workers are the parallelism
     }
     if let Some(budget) = scan.budget()? {
         params = params.with_budget(budget);
     }
-    let defaults = DaemonConfig::default();
     let cfg = DaemonConfig {
         ring_rows: scan.parsed_or("--ring-rows", defaults.ring_rows)?,
         max_tenants: scan.parsed_or("--max-tenants", defaults.max_tenants)?,
@@ -235,5 +234,25 @@ fn serve_stdin(daemon: &Arc<Daemon>, net_cfg: &NetConfig) {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dbsherlock_core::ExecPolicy;
+
+    fn exec_of(args: &[&str]) -> ExecPolicy {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let (cfg, _) = config_from(&ArgScan::new(&args)).unwrap();
+        cfg.params.exec()
+    }
+
+    #[test]
+    fn diagnoses_run_serial_unless_threads_overrides() {
+        assert_eq!(DaemonConfig::default().params.exec(), ExecPolicy::Serial);
+        assert_eq!(exec_of(&["--stdin"]), ExecPolicy::Serial);
+        assert_eq!(exec_of(&["--stdin", "--threads", "auto"]), ExecPolicy::Auto);
+        assert_eq!(exec_of(&["--stdin", "--threads", "3"]), ExecPolicy::Threads(3));
     }
 }

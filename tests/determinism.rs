@@ -440,3 +440,108 @@ proptest! {
         }
     }
 }
+
+/// A random §7 detection input: `rows` rows of `attrs` numeric attributes,
+/// each drawn from `state` as one of four shapes — a noisy level shift over
+/// a random block, a constant column, pure noise, or a two-valued step (no
+/// noise, so rows repeat exactly and the detector sees duplicate points).
+fn detection_dataset(rows: usize, attrs: usize, state: &mut u64) -> Dataset {
+    let names: Vec<String> = (0..attrs).map(|a| format!("a{a}")).collect();
+    let schema = Schema::from_attrs(names.iter().map(AttributeMeta::numeric)).unwrap();
+    let shift_len = 1 + (splitmix(state) % (rows as u64 / 6)) as usize;
+    let shift_at = (splitmix(state) % (rows - shift_len + 1) as u64) as usize;
+    let shifted = |r: usize| (shift_at..shift_at + shift_len).contains(&r);
+    let columns: Vec<Vec<f64>> = (0..attrs)
+        .map(|_| {
+            let shape = splitmix(state) % 4;
+            let base = (splitmix(state) % 1000) as f64 / 10.0;
+            let jump = (splitmix(state) % 200) as f64 - 100.0;
+            (0..rows)
+                .map(|r| {
+                    let noise = (splitmix(state) % 1000) as f64 / 100.0;
+                    let step = if shifted(r) { jump } else { 0.0 };
+                    match shape {
+                        0 => base + step + noise,
+                        1 => base,
+                        2 => base + noise,
+                        _ => base + step,
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mut d = Dataset::new(schema);
+    for r in 0..rows {
+        let row: Vec<Value> = columns.iter().map(|c| Value::Num(c[r])).collect();
+        d.push_row(r as f64, &row).unwrap();
+    }
+    d
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The shared-matrix detector (sliding-window potential power with an
+    /// early exit, selection-based k-dist, DBSCAN from the matrix) returns
+    /// exactly the detection of the scalar oracle, and every column's
+    /// potential power is bit-identical to the oracle's — including
+    /// constant columns, duplicate points and `τ` longer than the series.
+    #[test]
+    fn detection_is_bit_identical_to_scalar_oracle(
+        rows in 20usize..=700,
+        attrs in 1usize..=12,
+        tau in 1usize..=48,
+        threaded in any::<bool>(),
+        seed in 0u64..u64::MAX,
+    ) {
+        use dbsherlock::core::{potential_power, scalar, try_detect_anomaly, ArmedBudget};
+        let mut state = seed;
+        let d = detection_dataset(rows, attrs, &mut state);
+        // One draw in six runs a window longer than the series.
+        let tau = if tau > 40 { rows + 1 } else { tau };
+        let exec = if threaded { ExecPolicy::Threads(2) } else { ExecPolicy::Serial };
+        let params = SherlockParams::builder().tau(tau).exec(exec).build().unwrap();
+        for attr in 0..attrs {
+            let normalized = dbsherlock::telemetry::stats::normalize_slice(d.numeric(attr).unwrap());
+            prop_assert_eq!(
+                potential_power(&normalized, tau).to_bits(),
+                scalar::potential_power(&normalized, tau).to_bits(),
+                "attribute {}", attr
+            );
+        }
+        let fast = try_detect_anomaly(&d, &params, &ArmedBudget::unlimited()).unwrap();
+        prop_assert_eq!(fast, scalar::detect_anomaly(&d, &params));
+    }
+
+    /// The early exit never changes the selection: a scan stopped at the
+    /// first window past `t` is above `t` exactly when the full potential
+    /// power is, for thresholds at, just around, and away from the oracle's
+    /// value.
+    #[test]
+    fn early_exit_agrees_with_full_potential_power(
+        rows in 20usize..=300,
+        tau in 1usize..=40,
+        t in 0.0_f64..1.0,
+        seed in 0u64..u64::MAX,
+    ) {
+        use dbsherlock::core::{scalar, window_medians};
+        let mut state = seed;
+        let d = detection_dataset(rows, 1, &mut state);
+        let x = dbsherlock::telemetry::stats::normalize_slice(d.numeric(0).unwrap());
+        let oracle = scalar::potential_power(&x, tau);
+        let around = [
+            t,
+            oracle,
+            f64::from_bits(oracle.to_bits().wrapping_sub(1)),
+            f64::from_bits(oracle.to_bits() + 1),
+            0.0,
+        ];
+        for threshold in around {
+            prop_assert_eq!(
+                window_medians(&x, tau, threshold) > threshold,
+                oracle > threshold,
+                "t = {}, oracle = {}", threshold, oracle
+            );
+        }
+    }
+}

@@ -309,7 +309,7 @@ impl Daemon {
     }
 
     fn handle_header(&self, session: &mut Session, header: &str) {
-        let Some(tenant) = session.tenant.clone() else {
+        let Some(tenant) = session.tenant.as_deref() else {
             (session.sink)(&Response::Error {
                 code: "no-tenant",
                 detail: "send `tenant <name>` before a header".into(),
@@ -331,10 +331,10 @@ impl Daemon {
                 return;
             }
         };
-        self.emit_warnings(&session.sink, &tenant, &warnings);
+        self.emit_warnings(&session.sink, tenant, &warnings);
         let n_attrs = schema.len();
         let mut tenants = lock(&self.tenants);
-        match tenants.get_mut(&tenant) {
+        match tenants.get_mut(tenant) {
             Some(state) => {
                 state.ring.reset_schema(schema);
                 state.quarantined = false;
@@ -349,13 +349,13 @@ impl Daemon {
                         detail: format!(
                             "tenant cap {} reached; not admitting {}",
                             self.cfg.max_tenants,
-                            quote(&tenant)
+                            quote(tenant)
                         ),
                     });
                     return;
                 }
                 tenants.insert(
-                    tenant.clone(),
+                    tenant.to_string(),
                     TenantState {
                         ring: TenantRing::new(schema, self.cfg.ring_rows),
                         quarantined: false,
@@ -369,12 +369,12 @@ impl Daemon {
         drop(tenants);
         (session.sink)(&Response::Ok {
             what: "header",
-            detail: format!("tenant={} attrs={n_attrs}", quote(&tenant)),
+            detail: format!("tenant={} attrs={n_attrs}", quote(tenant)),
         });
     }
 
     fn handle_row(&self, session: &mut Session, row: &str) {
-        let Some(tenant) = session.tenant.clone() else {
+        let Some(tenant) = session.tenant.as_deref() else {
             (session.sink)(&Response::Error {
                 code: "no-tenant",
                 detail: "send `tenant <name>` and a header before rows".into(),
@@ -385,11 +385,11 @@ impl Daemon {
         let mut enqueue_detect = false;
         {
             let mut tenants = lock(&self.tenants);
-            let Some(state) = tenants.get_mut(&tenant) else {
+            let Some(state) = tenants.get_mut(tenant) else {
                 drop(tenants);
                 (session.sink)(&Response::Error {
                     code: "no-header",
-                    detail: format!("tenant {} has no schema yet", quote(&tenant)),
+                    detail: format!("tenant {} has no schema yet", quote(tenant)),
                 });
                 return;
             };
@@ -398,7 +398,7 @@ impl Daemon {
                 parse_line_lossy(state.ring.schema(), row, line_no, &mut warnings)
             else {
                 drop(tenants);
-                self.emit_warnings(&session.sink, &tenant, &warnings);
+                self.emit_warnings(&session.sink, tenant, &warnings);
                 return;
             };
             if let Some(prev) = state.last_timestamp {
@@ -422,14 +422,14 @@ impl Daemon {
                 enqueue_detect = true;
             }
         }
-        self.emit_warnings(&session.sink, &tenant, &warnings);
+        self.emit_warnings(&session.sink, tenant, &warnings);
         if enqueue_detect {
-            self.enqueue(&tenant, &session.sink);
+            self.enqueue(tenant, &session.sink);
         }
     }
 
     fn handle_detect(&self, session: &mut Session) {
-        let Some(tenant) = session.tenant.clone() else {
+        let Some(tenant) = session.tenant.as_deref() else {
             (session.sink)(&Response::Error {
                 code: "no-tenant",
                 detail: "send `tenant <name>` before `detect`".into(),
@@ -438,22 +438,22 @@ impl Daemon {
         };
         let known = {
             let tenants = lock(&self.tenants);
-            tenants.get(&tenant).map(|s| (s.quarantined, s.ring.is_empty()))
+            tenants.get(tenant).map(|s| (s.quarantined, s.ring.is_empty()))
         };
         match known {
             None => (session.sink)(&Response::Error {
                 code: "no-header",
-                detail: format!("tenant {} has no schema yet", quote(&tenant)),
+                detail: format!("tenant {} has no schema yet", quote(tenant)),
             }),
             Some((true, _)) => (session.sink)(&Response::Error {
                 code: "quarantined",
-                detail: format!("tenant {} is quarantined after a panic", quote(&tenant)),
+                detail: format!("tenant {} is quarantined after a panic", quote(tenant)),
             }),
             Some((_, true)) => (session.sink)(&Response::Error {
                 code: "no-rows",
-                detail: format!("tenant {} has no buffered rows", quote(&tenant)),
+                detail: format!("tenant {} has no buffered rows", quote(tenant)),
             }),
-            Some((false, false)) => self.enqueue(&tenant, &session.sink),
+            Some((false, false)) => self.enqueue(tenant, &session.sink),
         }
     }
 

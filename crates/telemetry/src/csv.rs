@@ -13,41 +13,46 @@
 //!
 //! Fields containing commas, quotes, or newlines are quoted RFC-4180 style.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::attribute::{AttributeKind, AttributeMeta, Schema};
 use crate::dataset::Dataset;
 use crate::error::{IngestWarning, Result, TelemetryError};
 use crate::value::Value;
+use crate::view::ColumnView;
 
 /// Serialize a dataset to CSV text.
 pub fn to_csv(dataset: &Dataset) -> String {
+    let schema = dataset.schema();
     let mut out = String::new();
     out.push_str("timestamp");
-    for (_, attr) in dataset.schema().iter() {
+    for (_, attr) in schema.iter() {
         out.push(',');
         write_field(&mut out, &format!("{}:{}", attr.name, attr.kind.tag()));
     }
     out.push('\n');
-    for row in 0..dataset.n_rows() {
-        let _ = write!(out, "{}", fmt_num(dataset.timestamps()[row]));
-        for (attr_id, attr) in dataset.schema().iter() {
+    let columns: Vec<ColumnView<'_>> =
+        schema.iter().map(|(attr_id, _)| dataset.column(attr_id)).collect();
+    for (row, &timestamp) in dataset.timestamps().iter().enumerate() {
+        write_num(&mut out, timestamp);
+        for column in &columns {
             out.push(',');
-            // Serialization is row-oriented by nature; per-cell access is
-            // the right shape here, not in the diagnosis kernels.
-            #[allow(deprecated)]
-            match dataset.value(row, attr_id) {
-                Value::Num(v) => {
-                    let _ = write!(out, "{}", fmt_num(v));
+            // Every column holds one cell per timestamp, so `get` only
+            // guards the invariant.
+            match column {
+                ColumnView::Numeric(values) => {
+                    if let Some(&v) = values.as_slice().get(row) {
+                        write_num(&mut out, v);
+                    }
                 }
-                Value::Cat(c) => {
-                    let label = dataset
-                        .categorical(attr_id)
-                        .ok()
-                        .and_then(|(_, dict)| dict.label(c))
+                ColumnView::Categorical(cats) => {
+                    let label = cats
+                        .ids
+                        .get(row)
+                        .and_then(|&id| cats.dict.label(id))
                         .unwrap_or("<unknown>");
                     write_field(&mut out, label);
-                    let _ = &attr;
                 }
             }
         }
@@ -62,14 +67,9 @@ pub fn from_csv(text: &str) -> Result<Dataset> {
     let (_, header) =
         lines.next().ok_or(TelemetryError::Parse { line: 1, message: "empty input".into() })?;
     let fields = split_line(header, 1)?;
-    if fields.first().map(String::as_str) != Some("timestamp") {
-        return Err(TelemetryError::Parse {
-            line: 1,
-            message: "first column must be `timestamp`".into(),
-        });
-    }
+    let attr_fields = attribute_fields(&fields)?;
     let mut schema = Schema::new();
-    for field in &fields[1..] {
+    for field in attr_fields {
         let (name, tag) = field.rsplit_once(':').ok_or_else(|| TelemetryError::Parse {
             line: 1,
             message: format!("header field {field:?} missing `:num`/`:cat` tag"),
@@ -87,15 +87,14 @@ pub fn from_csv(text: &str) -> Result<Dataset> {
             continue;
         }
         let fields = split_line(line, line_no)?;
-        if fields.len() != dataset.schema().len() + 1 {
-            return Err(TelemetryError::ArityMismatch {
-                expected: dataset.schema().len() + 1,
-                found: fields.len(),
-            });
-        }
-        let timestamp = parse_num(&fields[0], line_no)?;
-        let mut values = Vec::with_capacity(dataset.schema().len());
-        for (attr_id, field) in fields[1..].iter().enumerate() {
+        let expected = dataset.schema().len() + 1;
+        let found = fields.len();
+        let Some((ts_field, cells)) = fields.split_first().filter(|_| found == expected) else {
+            return Err(TelemetryError::ArityMismatch { expected, found });
+        };
+        let timestamp = parse_num(ts_field, line_no)?;
+        let mut values = Vec::with_capacity(cells.len());
+        for (attr_id, field) in cells.iter().enumerate() {
             let value = match dataset.schema().attr(attr_id).kind {
                 AttributeKind::Numeric => Value::Num(parse_num(field, line_no)?),
                 AttributeKind::Categorical => dataset.intern(attr_id, field)?,
@@ -184,14 +183,9 @@ pub fn parse_header_lossy(header: &str, warnings: &mut Vec<IngestWarning>) -> Re
             })
         }
     };
-    if header_fields.first().map(String::as_str) != Some("timestamp") {
-        return Err(TelemetryError::Parse {
-            line: 1,
-            message: "first column must be `timestamp`".into(),
-        });
-    }
+    let attr_fields = attribute_fields(&header_fields)?;
     let mut schema = Schema::new();
-    for field in header_fields.iter().skip(1) {
+    for field in attr_fields {
         let (name, kind) = match field.rsplit_once(':') {
             Some((name, tag)) => match AttributeKind::from_tag(tag) {
                 Some(kind) => (name.to_string(), kind),
@@ -254,30 +248,26 @@ pub fn parse_line_lossy(
     let expected = n_attrs + 1;
     if fields.len() != expected {
         warnings.push(IngestWarning::ArityRepair { line: line_no, expected, found: fields.len() });
-        if fields.len() < expected {
-            fields.resize(expected, String::new());
-        } else {
-            fields.truncate(expected);
-        }
+        fields.resize(expected, Cow::Borrowed(""));
     }
-    let ts_text = fields.first().map(String::as_str).unwrap_or("");
-    let timestamp = match parse_num(ts_text, line_no) {
+    let mut fields = fields.into_iter();
+    let ts_field = fields.next().unwrap_or_default();
+    let timestamp = match parse_num(&ts_field, line_no) {
         Ok(t) if t.is_finite() => t,
         _ => {
             warnings.push(IngestWarning::SkippedRow {
                 line: line_no,
-                reason: format!("unusable timestamp {ts_text:?}"),
+                reason: format!("unusable timestamp {ts_field:?}"),
             });
             return None;
         }
     };
     let mut cells = Vec::with_capacity(n_attrs);
-    for (attr_id, field) in fields.iter().skip(1).enumerate() {
-        // Arity repair capped the loop at n_attrs, so the id is in range.
-        let Some(meta) = schema.get(attr_id) else { break };
+    // Arity repair left exactly one field per attribute.
+    for ((_, meta), field) in schema.iter().zip(fields) {
         let attr_name = || meta.name.clone();
         let cell = match meta.kind {
-            AttributeKind::Numeric => match parse_num(field, line_no) {
+            AttributeKind::Numeric => match parse_num(&field, line_no) {
                 Ok(v) => {
                     if !v.is_finite() {
                         warnings.push(IngestWarning::NonFiniteCell {
@@ -309,7 +299,7 @@ pub fn parse_line_lossy(
                     });
                     RawCell::Label("<missing>".to_string())
                 } else {
-                    RawCell::Label(field.clone())
+                    RawCell::Label(field.into_owned())
                 }
             }
         };
@@ -332,13 +322,25 @@ pub fn push_raw_row(dataset: &mut Dataset, timestamp: f64, cells: &[RawCell]) ->
     dataset.push_row(timestamp, &values)
 }
 
-/// Format a float compactly: integers lose the trailing `.0`.
-fn fmt_num(v: f64) -> String {
-    if v.is_finite() && v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
+/// A header's attribute fields, once its first column is `timestamp`.
+fn attribute_fields<'f, 'a>(fields: &'f [Cow<'a, str>]) -> Result<&'f [Cow<'a, str>]> {
+    match fields.split_first() {
+        Some((first, rest)) if first == "timestamp" => Ok(rest),
+        _ => Err(TelemetryError::Parse {
+            line: 1,
+            message: "first column must be `timestamp`".into(),
+        }),
     }
+}
+
+/// Write a float compactly: integers lose the trailing `.0`.
+fn write_num(out: &mut String, v: f64) {
+    // Writing into a `String` cannot fail.
+    let _ = if v.is_finite() && v == v.trunc() && v.abs() < 1e15 {
+        write!(out, "{}", v as i64)
+    } else {
+        write!(out, "{v}")
+    };
 }
 
 fn parse_num(field: &str, line: usize) -> Result<f64> {
@@ -363,36 +365,63 @@ fn write_field(out: &mut String, field: &str) {
     }
 }
 
-/// Split one CSV line into unescaped fields.
-fn split_line(line: &str, line_no: usize) -> Result<Vec<String>> {
+/// Split one CSV line into unescaped fields, borrowing from `line`.
+///
+/// A field that does not open with `"` is the slice up to the next `,`;
+/// any `"` inside it is literal. Only a field that opens with `"` is
+/// copied: inside the quotes `""` is one `"` and `,` is data, and text
+/// after the closing quote is kept up to the next `,`. A quote still open
+/// at the end of the line is a [`TelemetryError::Parse`].
+pub fn split_line(line: &str, line_no: usize) -> Result<Vec<Cow<'_, str>>> {
     let mut fields = Vec::new();
-    let mut current = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(ch) = chars.next() {
-        match (in_quotes, ch) {
-            (false, ',') => fields.push(std::mem::take(&mut current)),
-            (false, '"') if current.is_empty() => in_quotes = true,
-            (false, c) => current.push(c),
-            (true, '"') => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    current.push('"');
-                } else {
-                    in_quotes = false;
-                }
+    let mut rest = line;
+    loop {
+        let (field, tail) = match rest.strip_prefix('"') {
+            None => match rest.split_once(',') {
+                Some((field, tail)) => (Cow::Borrowed(field), Some(tail)),
+                None => (Cow::Borrowed(rest), None),
+            },
+            Some(quoted) => {
+                let (field, tail) = unquote(quoted).ok_or_else(|| TelemetryError::Parse {
+                    line: line_no,
+                    message: "unterminated quoted field".into(),
+                })?;
+                (Cow::Owned(field), tail)
             }
-            (true, c) => current.push(c),
+        };
+        fields.push(field);
+        match tail {
+            Some(tail) => rest = tail,
+            None => return Ok(fields),
         }
     }
-    if in_quotes {
-        return Err(TelemetryError::Parse {
-            line: line_no,
-            message: "unterminated quoted field".into(),
-        });
+}
+
+/// Unescape a quoted field whose opening `"` is already consumed. Returns
+/// the field and the rest of the line after its `,` (`None` when the field
+/// ends the line), or `None` when the quote never closes.
+fn unquote(mut rest: &str) -> Option<(String, Option<&str>)> {
+    let mut field = String::new();
+    loop {
+        let (chunk, after) = rest.split_once('"')?;
+        field.push_str(chunk);
+        match after.strip_prefix('"') {
+            Some(escaped) => {
+                field.push('"');
+                rest = escaped;
+            }
+            None => {
+                // After the closing quote, the text up to the next `,` is
+                // literal (a `""` here would have been an escape above).
+                let (literal, tail) = match after.split_once(',') {
+                    Some((literal, tail)) => (literal, Some(tail)),
+                    None => (after, None),
+                };
+                field.push_str(literal);
+                return Some((field, tail));
+            }
+        }
     }
-    fields.push(current);
-    Ok(fields)
 }
 
 #[cfg(test)]

@@ -47,7 +47,8 @@ pub use align::{
 };
 pub use attribute::{AttributeKind, AttributeMeta, Schema};
 pub use csv::{
-    from_csv, from_csv_lossy, parse_header_lossy, parse_line_lossy, push_raw_row, to_csv, RawCell,
+    from_csv, from_csv_lossy, parse_header_lossy, parse_line_lossy, push_raw_row, split_line,
+    to_csv, RawCell,
 };
 pub use dataset::{Column, Dataset};
 pub use error::{IngestWarning, Result, TelemetryError};

@@ -1,7 +1,8 @@
 //! Property-based tests for the telemetry substrate.
 
 use dbsherlock_telemetry::{
-    from_csv, stats, to_csv, AttributeMeta, Dataset, Region, Schema, Value,
+    from_csv, parse_line_lossy, split_line, stats, to_csv, AttributeKind, AttributeMeta, Dataset,
+    IngestWarning, RawCell, Region, Schema, Value,
 };
 use proptest::prelude::*;
 
@@ -109,5 +110,282 @@ proptest! {
     ) {
         let kappa = stats::independence_factor(&joint);
         prop_assert!((0.0..=1.0).contains(&kappa), "kappa {kappa}");
+    }
+}
+
+/// Oracle: the char-at-a-time CSV splitter `split_line` replaced. It
+/// builds one owned field per cell; `Err(())` is an unterminated quote.
+fn oracle_split_line(line: &str) -> Result<Vec<String>, ()> {
+    let mut fields = Vec::new();
+    let mut current = String::new();
+    let mut chars = line.chars().peekable();
+    let mut in_quotes = false;
+    while let Some(ch) = chars.next() {
+        match (in_quotes, ch) {
+            (false, ',') => fields.push(std::mem::take(&mut current)),
+            (false, '"') if current.is_empty() => in_quotes = true,
+            (false, c) => current.push(c),
+            (true, '"') => {
+                if chars.peek() == Some(&'"') {
+                    chars.next();
+                    current.push('"');
+                } else {
+                    in_quotes = false;
+                }
+            }
+            (true, c) => current.push(c),
+        }
+    }
+    if in_quotes {
+        return Err(());
+    }
+    fields.push(current);
+    Ok(fields)
+}
+
+/// Oracle: `parse_line_lossy` over [`oracle_split_line`]'s owned fields,
+/// as it read before fields were borrowed.
+fn oracle_parse_line_lossy(
+    schema: &Schema,
+    line: &str,
+    line_no: usize,
+    warnings: &mut Vec<IngestWarning>,
+) -> Option<(f64, Vec<RawCell>)> {
+    let Ok(mut fields) = oracle_split_line(line) else {
+        warnings.push(IngestWarning::TruncatedInput { line: line_no });
+        return None;
+    };
+    let expected = schema.len() + 1;
+    if fields.len() != expected {
+        warnings.push(IngestWarning::ArityRepair { line: line_no, expected, found: fields.len() });
+        fields.resize(expected, String::new());
+    }
+    let ts_text = fields[0].as_str();
+    let timestamp = match ts_text.trim().parse::<f64>() {
+        Ok(t) if t.is_finite() => t,
+        _ => {
+            warnings.push(IngestWarning::SkippedRow {
+                line: line_no,
+                reason: format!("unusable timestamp {ts_text:?}"),
+            });
+            return None;
+        }
+    };
+    let mut cells = Vec::new();
+    for (attr_id, field) in fields.iter().skip(1).enumerate() {
+        let meta = schema.attr(attr_id);
+        let cell = match meta.kind {
+            AttributeKind::Numeric => match field.trim().parse::<f64>() {
+                Ok(v) => {
+                    if !v.is_finite() {
+                        warnings.push(IngestWarning::NonFiniteCell {
+                            line: line_no,
+                            attribute: meta.name.clone(),
+                        });
+                    }
+                    RawCell::Num(v)
+                }
+                Err(_) => {
+                    warnings.push(IngestWarning::RepairedCell {
+                        line: line_no,
+                        attribute: meta.name.clone(),
+                        reason: if field.trim().is_empty() {
+                            "empty cell".to_string()
+                        } else {
+                            format!("invalid number {field:?}")
+                        },
+                    });
+                    RawCell::Num(f64::NAN)
+                }
+            },
+            AttributeKind::Categorical if field.is_empty() => {
+                warnings.push(IngestWarning::RepairedCell {
+                    line: line_no,
+                    attribute: meta.name.clone(),
+                    reason: "empty cell".to_string(),
+                });
+                RawCell::Label("<missing>".to_string())
+            }
+            AttributeKind::Categorical => RawCell::Label(field.clone()),
+        };
+        cells.push(cell);
+    }
+    Some((timestamp, cells))
+}
+
+/// Oracle: the row-wise `to_csv` writer, one formatted `String` per
+/// numeric cell, reading the `numeric`/`categorical` slices.
+fn oracle_to_csv(d: &Dataset) -> String {
+    fn fmt_num(v: f64) -> String {
+        if v.is_finite() && v == v.trunc() && v.abs() < 1e15 {
+            format!("{}", v as i64)
+        } else {
+            format!("{v}")
+        }
+    }
+    fn write_field(out: &mut String, field: &str) {
+        if field.contains([',', '"', '\n', '\r']) {
+            out.push('"');
+            out.push_str(&field.replace('"', "\"\""));
+            out.push('"');
+        } else {
+            out.push_str(field);
+        }
+    }
+    let mut out = String::from("timestamp");
+    for (_, attr) in d.schema().iter() {
+        out.push(',');
+        write_field(&mut out, &format!("{}:{}", attr.name, attr.kind.tag()));
+    }
+    out.push('\n');
+    for row in 0..d.n_rows() {
+        out.push_str(&fmt_num(d.timestamps()[row]));
+        for (attr_id, attr) in d.schema().iter() {
+            out.push(',');
+            match attr.kind {
+                AttributeKind::Numeric => out.push_str(&fmt_num(d.numeric(attr_id).unwrap()[row])),
+                AttributeKind::Categorical => {
+                    let (ids, dict) = d.categorical(attr_id).unwrap();
+                    write_field(&mut out, dict.label(ids[row]).unwrap());
+                }
+            }
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// The characters that steer the splitter: separators, quotes, number
+/// pieces, whitespace and a multi-byte letter.
+const LINE_CHARS: [char; 9] = ['a', '1', '.', '-', ' ', '\t', ',', '"', 'é'];
+
+/// A line of [`LINE_CHARS`] picks. A stamped line opens with a parseable
+/// timestamp so the per-cell repairs get exercised.
+fn csv_line(picks: &[usize], stamped: bool) -> String {
+    let body = picks.iter().filter_map(|&i| LINE_CHARS.get(i));
+    if stamped {
+        "1,".chars().chain(body.copied()).collect()
+    } else {
+        body.collect()
+    }
+}
+
+/// Raw draws for one [`csv_number`].
+type NumberDraw = (usize, f64, f64, u64, i64, bool);
+
+fn number_draw() -> impl Strategy<Value = NumberDraw> {
+    (
+        0usize..7,
+        -2e15_f64..2e15,
+        prop::num::f64::ANY,
+        0u64..(1 << 52),
+        -(1i64 << 62)..(1 << 62),
+        any::<bool>(),
+    )
+}
+
+/// A number at the edges of `to_csv`'s integer/shortest-float rule:
+/// small integers, integers around 1e15, wide uniform values,
+/// subnormals, arbitrary finite values, big integers and specials.
+fn csv_number((kind, uniform, finite, mantissa, int, negative): NumberDraw) -> f64 {
+    const SPECIALS: [f64; 9] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        1e16,
+        -1e15,
+    ];
+    let sign = if negative { -1.0 } else { 1.0 };
+    match kind {
+        0 => (int % 1000) as f64,
+        1 => sign * (1e15 + (int % 3) as f64),
+        2 => uniform,
+        3 => sign * f64::from_bits(mantissa),
+        4 => finite,
+        5 => int as f64,
+        _ => SPECIALS[int.unsigned_abs() as usize % SPECIALS.len()],
+    }
+}
+
+proptest! {
+    /// The borrowing splitter yields the oracle's fields, and fails
+    /// exactly where the oracle finds an unterminated quote.
+    #[test]
+    fn split_line_matches_char_oracle(
+        picks in proptest::collection::vec(0usize..LINE_CHARS.len(), 0..40),
+        stamped in any::<bool>(),
+    ) {
+        let line = csv_line(&picks, stamped);
+        let fields = split_line(&line, 1)
+            .map(|fields| fields.iter().map(|f| f.to_string()).collect::<Vec<_>>())
+            .map_err(|_| ());
+        prop_assert_eq!(fields, oracle_split_line(&line), "line {:?}", line);
+    }
+
+    /// Lossy row parsing over borrowed fields gives the oracle's numbers
+    /// (bit for bit), labels and warnings.
+    #[test]
+    fn parse_line_lossy_matches_oracle(
+        picks in proptest::collection::vec(0usize..LINE_CHARS.len(), 0..40),
+        stamped in any::<bool>(),
+    ) {
+        let line = csv_line(&picks, stamped);
+        let schema = Schema::from_attrs([
+            AttributeMeta::numeric("x"),
+            AttributeMeta::categorical("job"),
+            AttributeMeta::numeric("y"),
+        ]).unwrap();
+        let (mut got_warnings, mut want_warnings) = (Vec::new(), Vec::new());
+        let got = parse_line_lossy(&schema, &line, 7, &mut got_warnings);
+        let want = oracle_parse_line_lossy(&schema, &line, 7, &mut want_warnings);
+        prop_assert_eq!(got_warnings, want_warnings, "line {:?}", line);
+        prop_assert_eq!(got.is_some(), want.is_some(), "line {:?}", line);
+        if let (Some((got_ts, got_cells)), Some((want_ts, want_cells))) = (got, want) {
+            prop_assert_eq!(got_ts.to_bits(), want_ts.to_bits());
+            prop_assert_eq!(got_cells.len(), want_cells.len());
+            for (got, want) in got_cells.iter().zip(&want_cells) {
+                match (got, want) {
+                    (RawCell::Num(a), RawCell::Num(b)) => prop_assert_eq!(a.to_bits(), b.to_bits()),
+                    (RawCell::Label(a), RawCell::Label(b)) => prop_assert_eq!(a, b),
+                    _ => prop_assert!(false, "cell kinds differ: {:?} vs {:?}", got, want),
+                }
+            }
+        }
+    }
+
+    /// The columnar `to_csv` is byte-identical to the row-wise oracle over
+    /// mixed schemas, edge-case numbers and labels that need quoting.
+    #[test]
+    fn to_csv_matches_row_oracle(
+        kinds in proptest::collection::vec(any::<bool>(), 1..5),
+        rows in proptest::collection::vec(
+            (number_draw(), proptest::collection::vec((number_draw(), "[a-z,\"é ]{0,6}"), 5)),
+            0..12,
+        ),
+    ) {
+        let schema = Schema::from_attrs(kinds.iter().enumerate().map(|(i, &numeric)| {
+            if numeric {
+                AttributeMeta::numeric(format!("n{i}"))
+            } else {
+                AttributeMeta::categorical(format!("c,\"{i}"))
+            }
+        })).unwrap();
+        let mut d = Dataset::new(schema);
+        for (timestamp, cells) in &rows {
+            let mut values = Vec::new();
+            for (attr_id, (&numeric, (num, label))) in kinds.iter().zip(cells).enumerate() {
+                values.push(if numeric {
+                    Value::Num(csv_number(*num))
+                } else {
+                    d.intern(attr_id, label).unwrap()
+                });
+            }
+            d.push_row(csv_number(*timestamp), &values).unwrap();
+        }
+        prop_assert_eq!(to_csv(&d), oracle_to_csv(&d));
     }
 }

@@ -177,7 +177,7 @@ proptest! {
 
     /// Lossy ingestion is the identity on clean CSV: `from_csv_lossy ∘
     /// to_csv` reproduces every row and value with zero warnings
-    /// (`fmt_num` uses shortest-round-trip float formatting).
+    /// (`write_num` uses shortest-round-trip float formatting).
     #[test]
     fn lossy_ingest_round_trips_clean_csv(
         a in proptest::collection::vec(-1e12_f64..1e12, 1..80),

@@ -6,7 +6,7 @@
 //! pairs. Following the DBSherlock paper's re-implementation (§8.4), the
 //! executions are telemetry tuples rather than MapReduce jobs.
 
-use dbsherlock_telemetry::{AttributeKind, Dataset, Value};
+use dbsherlock_telemetry::{AttributeKind, ColumnView, Dataset};
 
 /// Coarse comparison of one attribute's values across a pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,19 +27,15 @@ pub const SIMILARITY_TOLERANCE: f64 = 0.10;
 
 /// Featurize one attribute of a pair of rows.
 pub fn pair_feature(dataset: &Dataset, attr_id: usize, row_a: usize, row_b: usize) -> PairFeature {
-    // PerfXplain compares two arbitrary rows, so per-cell access is the
-    // natural shape here; this is not a DBSherlock hot path.
-    #[allow(deprecated)]
-    match (dataset.value(row_a, attr_id), dataset.value(row_b, attr_id)) {
-        (Value::Num(a), Value::Num(b)) => compare_numeric(a, b),
-        (Value::Cat(a), Value::Cat(b)) => {
-            if a == b {
-                PairFeature::Similar
-            } else {
-                PairFeature::Different
-            }
-        }
-        _ => PairFeature::Different,
+    match dataset.column(attr_id) {
+        ColumnView::Numeric(v) => match (v.0.get(row_a), v.0.get(row_b)) {
+            (Some(&a), Some(&b)) => compare_numeric(a, b),
+            _ => PairFeature::Different,
+        },
+        ColumnView::Categorical(c) => match (c.ids.get(row_a), c.ids.get(row_b)) {
+            (Some(a), Some(b)) if a == b => PairFeature::Similar,
+            _ => PairFeature::Different,
+        },
     }
 }
 
@@ -73,7 +69,7 @@ pub fn feature_attributes(dataset: &Dataset, excluded: &[&str]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbsherlock_telemetry::{AttributeMeta, Schema};
+    use dbsherlock_telemetry::{AttributeMeta, Schema, Value};
 
     #[test]
     fn numeric_comparisons() {

@@ -21,7 +21,7 @@ use crate::detect::{try_detect_anomaly, Detection};
 use crate::domain::DomainKnowledge;
 use crate::error::SherlockError;
 use crate::exec::{try_par_map_indexed, ExecPolicy};
-use crate::generate::{try_generate_indexed, GeneratedPredicate};
+use crate::generate::{try_generate_indexed, AblationFlags, GeneratedPredicate};
 use crate::intervene::{
     validate_explanation, CauseVerdict, InterventionConfig, InterventionReport, InterventionRunner,
 };
@@ -223,7 +223,14 @@ impl Sherlock {
         // hands that index to ranking, which scores Eq. 3 against the same
         // pre-filter, pre-prune labels without partitioning anything.
         let snapshot = dataset.snapshot();
-        let (raw, index) = try_generate_indexed(&snapshot, abnormal, normal, params, budget)?;
+        let (raw, index) = try_generate_indexed(
+            &snapshot,
+            abnormal,
+            normal,
+            params,
+            budget,
+            AblationFlags::default(),
+        )?;
         let predicates = self.domain.prune(dataset, raw, params);
         let all_causes = self.repository.try_rank_indexed(&index, budget)?;
         let causes = all_causes.iter().filter(|c| c.confidence >= params.lambda).cloned().collect();

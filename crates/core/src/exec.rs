@@ -16,7 +16,8 @@
 //! is rejected by sherlock-lint's `raw-spawn` rule; route new parallelism
 //! through here.
 //!
-//! Two mapping primitives share the same deterministic round-robin schedule:
+//! Two mapping primitives share one private deterministic round-robin
+//! scheduler, which holds the workspace's only spawn site:
 //!
 //! * [`par_map_indexed`] — infallible `f`; a panic in any task propagates to
 //!   the caller exactly as the serial loop would surface it.
@@ -75,9 +76,21 @@ impl std::fmt::Display for ExecPolicy {
 /// item — never any cross-item state — the output is identical under any
 /// [`ExecPolicy`], which the determinism suite asserts.
 ///
-/// A panic in `f` on a worker thread is propagated to the caller (the same
-/// behavior as the serial loop).
+/// A panic in `f` on a worker thread is propagated to the caller with its
+/// original payload (the same behavior as the serial loop).
 pub fn par_map_indexed<T, U, F>(policy: ExecPolicy, items: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(usize, &T) -> U + Sync,
+{
+    map(policy, items, f)
+}
+
+/// The one scheduler behind both public maps: serial on the calling thread
+/// when the policy resolves to one thread (no thread machinery built),
+/// otherwise the round-robin deal described on [`par_map_indexed`].
+fn map<T, U, F>(policy: ExecPolicy, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -106,11 +119,12 @@ where
             })
             .collect();
         for handle in handles {
-            // Propagate worker panics to the caller, exactly as the serial
-            // loop would surface them.
-            #[allow(clippy::expect_used)]
-            // sherlock-lint: allow(panic-path): propagates child panic
-            indexed.extend(handle.join().expect("worker thread panicked"));
+            // Re-raise a worker panic with its own payload, exactly as the
+            // serial loop would surface it.
+            match handle.join() {
+                Ok(chunk) => indexed.extend(chunk),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
     });
     indexed.sort_by_key(|(i, _)| *i);
@@ -158,39 +172,7 @@ where
             Err(SherlockError::TaskPanicked { stage, message: panic_message(payload.as_ref()) })
         })
     };
-    let threads = policy.resolve().min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, item)| guarded(i, item)).collect();
-    }
-
-    let mut indexed: Vec<(usize, Result<U, SherlockError>)> = Vec::with_capacity(items.len());
-    // sherlock-lint: allow(raw-spawn): second sanctioned spawn site (fallible twin)
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let guarded = &guarded;
-                scope.spawn(move || {
-                    items
-                        .iter()
-                        .enumerate()
-                        .skip(tid)
-                        .step_by(threads)
-                        .map(|(i, item)| (i, guarded(i, item)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            // Task panics are caught inside `guarded`; a join failure here
-            // would mean the scope machinery itself died, which `scope`
-            // already escalates.
-            if let Ok(chunk) = handle.join() {
-                indexed.extend(chunk);
-            }
-        }
-    });
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, value)| value).collect()
+    map(policy, items, guarded)
 }
 
 #[cfg(test)]
@@ -278,6 +260,25 @@ mod tests {
                     assert_eq!(result.as_ref().unwrap(), &((i * i) as u32), "{policy}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn worker_panics_keep_their_payload() {
+        let items: Vec<u32> = (0..20).collect();
+        for policy in [ExecPolicy::Serial, ExecPolicy::Threads(4)] {
+            let payload = quiet_panics(|| {
+                std::panic::catch_unwind(|| {
+                    par_map_indexed(policy, &items, |_, &x| {
+                        if x == 7 {
+                            panic!("poison at {x}");
+                        }
+                        x
+                    })
+                })
+            })
+            .expect_err("the poisoned item must panic");
+            assert_eq!(panic_message(payload.as_ref()), "poison at 7", "{policy}");
         }
     }
 

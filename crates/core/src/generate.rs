@@ -12,7 +12,7 @@ use dbsherlock_telemetry::{
 
 use crate::budget::ArmedBudget;
 use crate::error::SherlockError;
-use crate::exec::{par_map_indexed, try_par_map_indexed};
+use crate::exec::try_par_map_indexed;
 use crate::extract::{extract_categorical_view, extract_numeric, normalized_mean_difference_view};
 use crate::fill::fill_gaps_view;
 use crate::filter::filter_partitions;
@@ -44,6 +44,11 @@ pub struct AblationFlags {
 }
 
 /// Generate the predicate conjunction explaining `abnormal` vs `normal`.
+///
+/// Runs the same Algorithm 1 as [`try_generate_predicates_snapshot`] under
+/// an unlimited budget: a panic caught while processing any attribute
+/// yields no predicates, the same degrade rule as
+/// [`ModelRepository::rank`](crate::ModelRepository::rank).
 pub fn generate_predicates(
     dataset: &Dataset,
     abnormal: &Region,
@@ -55,6 +60,7 @@ pub fn generate_predicates(
 
 /// [`generate_predicates`] with individual pipeline steps disabled
 /// (Appendix D's "without Partition Filtering / Filling the Gaps" rows).
+/// A caught panic yields no predicates, as in [`generate_predicates`].
 pub fn generate_predicates_ablated(
     dataset: &Dataset,
     abnormal: &Region,
@@ -62,59 +68,20 @@ pub fn generate_predicates_ablated(
     params: &SherlockParams,
     ablation: AblationFlags,
 ) -> Vec<GeneratedPredicate> {
-    generate_predicates_snapshot(&dataset.snapshot(), abnormal, normal, params, ablation)
+    let (snapshot, budget) = (dataset.snapshot(), ArmedBudget::unlimited());
+    try_generate_indexed(&snapshot, abnormal, normal, params, &budget, ablation)
+        .map(|(predicates, _)| predicates)
+        .unwrap_or_default()
 }
 
-/// [`generate_predicates_ablated`] over a pinned [`ColumnarSnapshot`]:
-/// the columnar entry point. Callers running several stages against the
-/// same dataset (e.g. `Sherlock::explain_*`) build one snapshot per case
-/// so every kernel shares the memoized range cache.
-pub fn generate_predicates_snapshot(
-    snapshot: &ColumnarSnapshot<'_>,
-    abnormal: &Region,
-    normal: &Region,
-    params: &SherlockParams,
-    ablation: AblationFlags,
-) -> Vec<GeneratedPredicate> {
-    // Regions may have been defined over a healthier version of the data:
-    // lossy ingestion drops rows, so clip before any column indexing.
-    let abnormal = &abnormal.clip(snapshot.n_rows());
-    let normal = &normal.clip(snapshot.n_rows());
-    if abnormal.is_empty() || normal.is_empty() {
-        return Vec::new();
-    }
-    // Each attribute is an independent run of Algorithm 1, so the schema
-    // fans out across the thread budget; collecting by index keeps the
-    // output in schema order, identical to the serial loop.
-    let attrs: Vec<(usize, &AttributeMeta)> = snapshot.schema().iter().collect();
-    par_map_indexed(params.exec, &attrs, |_, &(attr_id, attr)| {
-        let labeled =
-            LabeledSpace::build(snapshot, attr_id, abnormal, normal, params.n_partitions)?;
-        let view = snapshot.column(attr_id);
-        extract_for_attribute(view, attr, &labeled, abnormal, normal, params, ablation)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// [`generate_predicates`] under a [`DiagnosisBudget`](crate::DiagnosisBudget):
-/// the budget is checked before each attribute's run of Algorithm 1, and a
-/// panic while processing any attribute is caught at that slot instead of
-/// tearing down the caller. The first failure aborts the case (a partial
-/// predicate conjunction would be a *wrong* answer, not a degraded one);
-/// within budget, output is bit-identical to [`generate_predicates`].
-pub fn try_generate_predicates(
-    dataset: &Dataset,
-    abnormal: &Region,
-    normal: &Region,
-    params: &SherlockParams,
-    budget: &ArmedBudget,
-) -> Result<Vec<GeneratedPredicate>, SherlockError> {
-    try_generate_predicates_snapshot(&dataset.snapshot(), abnormal, normal, params, budget)
-}
-
-/// [`try_generate_predicates`] over a pinned [`ColumnarSnapshot`].
+/// Algorithm 1 over a pinned [`ColumnarSnapshot`] under a
+/// [`DiagnosisBudget`](crate::DiagnosisBudget): the budget is checked
+/// before each attribute's run, and a panic while processing any attribute
+/// is caught at that slot instead of tearing down the caller. The first
+/// failure aborts the case (a partial predicate conjunction would be a
+/// *wrong* answer, not a degraded one). Callers running several stages
+/// against the same dataset build one snapshot per case so every kernel
+/// shares the memoized range cache.
 pub fn try_generate_predicates_snapshot(
     snapshot: &ColumnarSnapshot<'_>,
     abnormal: &Region,
@@ -122,26 +89,33 @@ pub fn try_generate_predicates_snapshot(
     params: &SherlockParams,
     budget: &ArmedBudget,
 ) -> Result<Vec<GeneratedPredicate>, SherlockError> {
-    try_generate_indexed(snapshot, abnormal, normal, params, budget)
+    try_generate_indexed(snapshot, abnormal, normal, params, budget, AblationFlags::default())
         .map(|(predicates, _)| predicates)
 }
 
-/// [`try_generate_predicates_snapshot`] that also returns the case's
-/// [`PartitionIndex`]: every attribute's labeled partition space, built
-/// once inside the per-attribute fan-out and kept for ranking (Eq. 3 is
-/// scored over the same pre-filter labels Algorithm 1 starts from).
+/// The one implementation of Algorithm 1: [`try_generate_predicates_snapshot`]
+/// with ablation switches, also returning the case's [`PartitionIndex`]:
+/// every attribute's labeled partition space, built once inside the
+/// per-attribute fan-out and kept for ranking (Eq. 3 is scored over the
+/// same pre-filter labels Algorithm 1 starts from).
 pub(crate) fn try_generate_indexed<'a>(
     snapshot: &ColumnarSnapshot<'a>,
     abnormal: &Region,
     normal: &Region,
     params: &SherlockParams,
     budget: &ArmedBudget,
+    ablation: AblationFlags,
 ) -> Result<(Vec<GeneratedPredicate>, PartitionIndex<'a>), SherlockError> {
+    // Regions may have been defined over a healthier version of the data:
+    // lossy ingestion drops rows, so clip before any column indexing.
     let abnormal = &abnormal.clip(snapshot.n_rows());
     let normal = &normal.clip(snapshot.n_rows());
     if abnormal.is_empty() || normal.is_empty() {
         return Ok((Vec::new(), PartitionIndex::new(snapshot.dataset(), Vec::new())));
     }
+    // Each attribute is an independent run of Algorithm 1, so the schema
+    // fans out across the thread budget; collecting by index keeps the
+    // output in schema order, identical to the serial loop.
     let attrs: Vec<(usize, &AttributeMeta)> = snapshot.schema().iter().collect();
     let per_attr = try_par_map_indexed(params.exec, "generate", &attrs, |_, &(attr_id, attr)| {
         budget.check("generate")?;
@@ -154,7 +128,7 @@ pub(crate) fn try_generate_indexed<'a>(
                 abnormal,
                 normal,
                 params,
-                AblationFlags::default(),
+                ablation,
             )
         });
         Ok((labeled, generated))
@@ -303,22 +277,12 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_generate_matches_unbudgeted_within_budget() {
-        let (d, abnormal, normal) = dataset();
-        let params = SherlockParams::default();
-        let plain = generate_predicates(&d, &abnormal, &normal, &params);
-        let budgeted =
-            try_generate_predicates(&d, &abnormal, &normal, &params, &ArmedBudget::unlimited())
-                .unwrap();
-        assert_eq!(plain, budgeted);
-    }
-
-    #[test]
     fn blown_deadline_aborts_the_case() {
         let (d, abnormal, normal) = dataset();
         let params = SherlockParams::default();
         let armed = crate::budget::DiagnosisBudget::unlimited().with_deadline_ms(0).arm();
-        let result = try_generate_predicates(&d, &abnormal, &normal, &params, &armed);
+        let result =
+            try_generate_predicates_snapshot(&d.snapshot(), &abnormal, &normal, &params, &armed);
         assert!(matches!(result, Err(SherlockError::DeadlineExceeded { stage: "generate", .. })));
     }
 

@@ -83,8 +83,8 @@ pub use domain::{independence_factor, DomainKnowledge, Rule};
 pub use error::SherlockError;
 pub use exec::{par_map_indexed, try_par_map_indexed, ExecPolicy};
 pub use generate::{
-    generate_predicates, generate_predicates_ablated, generate_predicates_snapshot,
-    try_generate_predicates, try_generate_predicates_snapshot, AblationFlags, GeneratedPredicate,
+    generate_predicates, generate_predicates_ablated, try_generate_predicates_snapshot,
+    AblationFlags, GeneratedPredicate,
 };
 pub use intervene::{
     attempt_seed, trial_seed, validate_explanation, CauseVerdict, InterventionConfig,

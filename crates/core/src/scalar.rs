@@ -2,12 +2,13 @@
 //!
 //! This is the pre-columnar hot path, preserved verbatim as an executable
 //! specification: every kernel walks the dataset cell by cell through
-//! [`Dataset::value`], paying the column-enum dispatch per row that the
-//! columnar kernels in [`label`](crate::label), [`predicate`](crate::predicate),
-//! [`separation`](crate::separation), and [`generate`](crate::generate)
-//! hoist out of their loops. It also keeps the §7 detector in its
-//! straightforward form ([`detect_anomaly`]): a fresh median per window, a
-//! sorted k-dist list per point, and DBSCAN recomputing its distances.
+//! this module's `value` read, paying the column-enum dispatch per row that
+//! the columnar kernels in [`label`](crate::label),
+//! [`predicate`](crate::predicate), [`separation`](crate::separation), and
+//! [`generate`](crate::generate) hoist out of their loops. It also keeps
+//! the §7 detector in its straightforward form ([`detect_anomaly`]): a
+//! fresh median per window, a sorted k-dist list per point, and DBSCAN
+//! recomputing its distances.
 //! The optimized paths are required to be **bit-identical** to this module
 //! on valid inputs — the determinism proptests diff the two paths, and the
 //! scaling benchmark (`columnar_scaling`) uses this module as its scalar
@@ -16,10 +17,8 @@
 //! Compiled only for tests and under the `scalar-shim` feature; production
 //! builds carry no row-wise code.
 
-#![allow(deprecated)] // the whole point of this module is per-cell `value()`
-
 use dbsherlock_cluster::{dbscan, kdist_of, rows_from_columns, Label};
-use dbsherlock_telemetry::{stats, AttributeKind, Dataset, Region, Value};
+use dbsherlock_telemetry::{stats, AttributeKind, ColumnView, Dataset, Region, Value};
 
 use crate::causal::{CausalModel, ModelRepository, RankedCause};
 use crate::detect::Detection;
@@ -31,6 +30,17 @@ use crate::params::SherlockParams;
 use crate::partition::{PartitionLabel, PartitionSpace};
 use crate::predicate::Predicate;
 
+/// The single scalar at `(row, attr_id)`: the per-cell read every kernel
+/// below goes through, one column-kind dispatch per call. Callers check
+/// `row` and `attr_id` against the dataset first.
+fn value(dataset: &Dataset, row: usize, attr_id: usize) -> Value {
+    match dataset.column(attr_id) {
+        ColumnView::Numeric(v) => Value::Num(v.0[row]),
+        // sherlock-lint: allow(panic-path): callers bounds-check `row` first
+        ColumnView::Categorical(c) => Value::Cat(c.ids[row]),
+    }
+}
+
 /// Row-wise [`Predicate::matches_row`]: one `value()` dispatch (and, for
 /// categorical attributes, one dictionary lookup) per call.
 pub fn matches_row(predicate: &Predicate, dataset: &Dataset, row: usize) -> bool {
@@ -40,7 +50,7 @@ pub fn matches_row(predicate: &Predicate, dataset: &Dataset, row: usize) -> bool
     if row >= dataset.n_rows() {
         return false;
     }
-    match dataset.value(row, attr_id) {
+    match value(dataset, row, attr_id) {
         Value::Num(v) => predicate.op.matches_num(v),
         Value::Cat(id) => {
             let Ok((_, dict)) = dataset.categorical(attr_id) else {
@@ -85,7 +95,7 @@ pub fn label_partitions(
         if row >= dataset.n_rows() || attr_id >= dataset.schema().len() {
             return None;
         }
-        match (space, dataset.value(row, attr_id)) {
+        match (space, value(dataset, row, attr_id)) {
             // The paper's floor form, kept apart from the columnar binner.
             (&PartitionSpace::Numeric { min, max, r }, Value::Num(v)) if v.is_finite() => {
                 let idx = ((v - min) / (max - min) * r as f64).floor() as isize;
@@ -219,7 +229,7 @@ pub fn normalized_mean_difference(
                 if r >= dataset.n_rows() {
                     return None;
                 }
-                dataset.value(r, attr_id).as_num()
+                value(dataset, r, attr_id).as_num()
             })
             .filter(|v| v.is_finite())
             .map(|v| dbsherlock_telemetry::stats::normalize(v, min, max))

@@ -77,13 +77,6 @@ pub enum RuleKind {
     /// outside shutdown paths — failures must be counted, logged, or
     /// propagated.
     SwallowedError,
-    /// Semantic: per-cell `.value()` dispatch inside the columnar kernel
-    /// files (`crates/core/src/{label,partition,separation,filter,
-    /// predicate}.rs`). Those hot paths were rewritten to take typed
-    /// column views from a `ColumnarSnapshot`; a row-wise access creeping
-    /// back in silently reintroduces the per-cell enum match the rewrite
-    /// removed. The `scalar` reference shim is deliberately out of scope.
-    RowWiseHotPath,
     /// Taint: a nondeterministic value (entropy RNG, wall clock, hash
     /// iteration order, thread id, pointer address) flows into a
     /// serialized output (`Explanation`/`Response` construction,
@@ -102,7 +95,7 @@ pub enum RuleKind {
 impl RuleKind {
     /// All rules, in reporting order (token rules, then semantic rules,
     /// then flow rules).
-    pub const ALL: [RuleKind; 18] = [
+    pub const ALL: [RuleKind; 17] = [
         RuleKind::PanicPath,
         RuleKind::NanUnsafe,
         RuleKind::UnseededRng,
@@ -115,7 +108,6 @@ impl RuleKind {
         RuleKind::UnsyncedStoreWrite,
         RuleKind::UnboundedChannel,
         RuleKind::UnboundedRetry,
-        RuleKind::RowWiseHotPath,
         RuleKind::LockOrderInversion,
         RuleKind::GuardAcrossBlocking,
         RuleKind::SwallowedError,
@@ -138,7 +130,6 @@ impl RuleKind {
             RuleKind::UnsyncedStoreWrite => "unsynced-store-write",
             RuleKind::UnboundedChannel => "unbounded-channel",
             RuleKind::UnboundedRetry => "unbounded-retry",
-            RuleKind::RowWiseHotPath => "row-wise-hot-path",
             RuleKind::LockOrderInversion => "lock-order-inversion",
             RuleKind::GuardAcrossBlocking => "guard-across-blocking",
             RuleKind::SwallowedError => "swallowed-error",
@@ -169,7 +160,6 @@ impl RuleKind {
             RuleKind::UnsyncedStoreWrite => "filesystem mutation outside the store module",
             RuleKind::UnboundedChannel => "unbounded buffer growth in a daemon loop",
             RuleKind::UnboundedRetry => "retry/backoff loop with no attempt bound or deadline poll",
-            RuleKind::RowWiseHotPath => "per-cell .value() dispatch inside a columnar kernel file",
             RuleKind::LockOrderInversion => {
                 "two mutexes acquired in opposite orders on different call paths"
             }
@@ -610,14 +600,13 @@ pub fn scan_source_indexed(
 
     // The semantic layer: built only when a semantic rule is requested —
     // the syntax analysis costs another pass over the tokens.
-    const SEMANTIC: [RuleKind; 7] = [
+    const SEMANTIC: [RuleKind; 6] = [
         RuleKind::NondetIteration,
         RuleKind::RawPanicHook,
         RuleKind::BudgetBlindLoop,
         RuleKind::UnsyncedStoreWrite,
         RuleKind::UnboundedChannel,
         RuleKind::UnboundedRetry,
-        RuleKind::RowWiseHotPath,
     ];
     let needs_semantic = rules.iter().any(|r| SEMANTIC.contains(r));
     let needs_flow = rules.iter().any(|r| FLOW.contains(r));

@@ -97,17 +97,6 @@ const FS_MUTATORS: &[&str] =
 /// Methods that grow a container (`unbounded-channel`).
 const GROWERS: &[&str] = &["push", "push_back", "push_front", "extend", "append"];
 
-/// The columnar kernel files: diagnosis hot paths rewritten to take typed
-/// column views. Per-cell `value()` dispatch is banned here — the `scalar`
-/// reference shim (scalar.rs) is deliberately absent from this list.
-const HOT_PATH_FILES: &[&str] = &[
-    "crates/core/src/label.rs",
-    "crates/core/src/partition.rs",
-    "crates/core/src/separation.rs",
-    "crates/core/src/filter.rs",
-    "crates/core/src/predicate.rs",
-];
-
 /// Container types whose unbounded growth is the daemon hazard.
 const GROWABLE_TYPES: &[&str] = &["Vec", "VecDeque"];
 
@@ -199,16 +188,6 @@ pub(crate) fn scan_semantic(
     // intervention trials. Binaries and tests may poll freely.
     if rules.contains(&RuleKind::UnboundedRetry) && class == FileClass::Lib {
         unbounded_retry(&ctx, emit);
-    }
-    // Scoped to the columnar kernel files: `value()` is a fine API
-    // everywhere else (the scalar shim and cold paths use it on purpose);
-    // only inside the rewritten hot loops is a row-wise access a
-    // regression.
-    if rules.contains(&RuleKind::RowWiseHotPath)
-        && class == FileClass::Lib
-        && HOT_PATH_FILES.iter().any(|f| path.ends_with(f))
-    {
-        row_wise_hot_path(&ctx, emit);
     }
 }
 
@@ -686,30 +665,6 @@ fn unbounded_retry(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String)) {
     }
 }
 
-// ----- row-wise-hot-path --------------------------------------------------
-
-fn row_wise_hot_path(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String)) {
-    for i in 0..ctx.toks.len() {
-        if ctx.in_test(i) {
-            continue;
-        }
-        // Only the method form `.value(` / `.value::<T>(` — a free
-        // function or an unrelated `values()` chain is not the per-cell
-        // Dataset accessor.
-        if ctx.is_method_call(i, &["value"]) {
-            emit(
-                RuleKind::RowWiseHotPath,
-                // sherlock-lint: allow(panic-path): i is a scanned token index
-                ctx.toks[i].line,
-                "per-cell `.value()` dispatch in a columnar kernel file; take a \
-                 typed column view (NumericView/CategoricalView via \
-                 ColumnarSnapshot) and loop over the slice instead"
-                    .to_string(),
-            );
-        }
-    }
-}
-
 // ----- unsynced-store-write ---------------------------------------------
 
 fn unsynced_store_write(ctx: &Ctx<'_>, emit: &mut dyn FnMut(RuleKind, u32, String)) {
@@ -1170,64 +1125,6 @@ mod tests {
                       }\n\
                       }\n}";
         assert_eq!(hits(nested, RuleKind::UnboundedRetry, FileClass::Lib), vec![5]);
-    }
-
-    // ----- row-wise-hot-path ----------------------------------------------
-
-    const KERNEL_PATH: &str = "crates/core/src/predicate.rs";
-
-    fn kernel_hits(src: &str, path: &str, class: FileClass) -> Vec<u32> {
-        scan_source(path, src, class, &[RuleKind::RowWiseHotPath])
-            .into_iter()
-            .map(|f| f.line)
-            .collect()
-    }
-
-    #[test]
-    fn row_wise_hot_path_flags_value_calls_in_kernel_files() {
-        let src = "fn f(d: &Dataset, r: usize, a: usize) -> Value {\n\
-                   d.value(r, a)\n}";
-        assert_eq!(kernel_hits(src, KERNEL_PATH, FileClass::Lib), vec![2]);
-        // Turbofish form too.
-        let turbo = "fn f(d: &D) { d.value::<f64>(0, 1); }";
-        assert_eq!(kernel_hits(turbo, KERNEL_PATH, FileClass::Lib), vec![1]);
-        // Every scoped kernel file fires.
-        for file in ["label.rs", "partition.rs", "separation.rs", "filter.rs", "predicate.rs"] {
-            let path = format!("crates/core/src/{file}");
-            assert_eq!(kernel_hits(src, &path, FileClass::Lib), vec![2], "{path}");
-        }
-    }
-
-    #[test]
-    fn row_wise_hot_path_is_scoped_and_escapable() {
-        let src = "fn f(d: &Dataset, r: usize, a: usize) -> Value {\n\
-                   d.value(r, a)\n}";
-        // The scalar shim and everything outside the kernel files is fine.
-        for path in [
-            "crates/core/src/scalar.rs",
-            "crates/core/src/diagnose.rs",
-            "crates/baselines/src/perfxplain/features.rs",
-        ] {
-            assert!(kernel_hits(src, path, FileClass::Lib).is_empty(), "{path}");
-        }
-        // Tests, benches and bins may use the row-wise API.
-        assert!(kernel_hits(src, KERNEL_PATH, FileClass::Other).is_empty());
-        let in_test = "#[cfg(test)]\nmod t { fn f(d: &D) { d.value(0, 1); } }";
-        assert!(kernel_hits(in_test, KERNEL_PATH, FileClass::Lib).is_empty());
-        // Non-method uses and similar names are not the Dataset accessor.
-        for clean in [
-            "fn f() { let v = value(0, 1); }",
-            "fn f(m: &M) { m.values(); }",
-            "fn f(e: &Entry) { e.key_value(); }",
-            "fn f(d: &D) { d.numeric(a); }",
-        ] {
-            assert!(kernel_hits(clean, KERNEL_PATH, FileClass::Lib).is_empty(), "{clean}");
-        }
-        // The escape hatch documents a sanctioned cold-path access.
-        let allowed = "fn f(d: &D) {\n\
-                       // sherlock-lint: allow(row-wise-hot-path): cold error path\n\
-                       d.value(0, 1);\n}";
-        assert!(kernel_hits(allowed, KERNEL_PATH, FileClass::Lib).is_empty());
     }
 
     // ----- unsynced-store-write ------------------------------------------

@@ -289,30 +289,6 @@ fn unbounded_retry_fixture_flags_exactly_the_marked_lines() {
 }
 
 #[test]
-fn row_wise_hot_path_fixture_flags_exactly_the_marked_lines() {
-    // The rule is path-scoped to the columnar kernel files, so label the
-    // fixture as one of them instead of using `scan_fixture`.
-    let source = fixture("row_wise_hot_path.rs");
-    let findings =
-        scan_source("crates/core/src/predicate.rs", &source, FileClass::Lib, &RuleKind::ALL);
-    assert_matches_markers(&source, &findings, RuleKind::RowWiseHotPath);
-    // The columnar view access, similar names, the allow escape and the
-    // test module are silent.
-    let rule_hits = findings.iter().filter(|f| f.rule == RuleKind::RowWiseHotPath).count();
-    assert_eq!(rule_hits, 2, "{findings:#?}");
-    // Outside the kernel files — notably the scalar shim — the same source
-    // is out of scope.
-    for path in ["crates/core/src/scalar.rs", "crates/core/src/diagnose.rs"] {
-        let elsewhere = scan_source(path, &source, FileClass::Lib, &RuleKind::ALL);
-        assert!(!elsewhere.iter().any(|f| f.rule == RuleKind::RowWiseHotPath), "{elsewhere:#?}");
-    }
-    // Bin/bench/test files may use the row-wise API.
-    let other =
-        scan_source("crates/core/src/predicate.rs", &source, FileClass::Other, &RuleKind::ALL);
-    assert!(!other.iter().any(|f| f.rule == RuleKind::RowWiseHotPath), "{other:#?}");
-}
-
-#[test]
 fn github_annotations_escape_workflow_metacharacters() {
     let f = Finding {
         rule: RuleKind::PanicPath,

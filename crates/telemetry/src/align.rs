@@ -247,20 +247,7 @@ pub fn repair_alignment(
             });
             continue;
         }
-        let mut values = Vec::with_capacity(dataset.schema().len());
-        for attr_id in 0..dataset.schema().len() {
-            // Repair is ingestion-side: per-cell access off the hot path.
-            #[allow(deprecated)]
-            let v = match dataset.value(row, attr_id) {
-                Value::Num(x) => Value::Num(x),
-                Value::Cat(c) => {
-                    let (_, dict) = dataset.categorical(attr_id)?;
-                    let label = dict.label(c).unwrap_or("<unknown>").to_string();
-                    out.intern(attr_id, &label)?
-                }
-            };
-            values.push(v);
-        }
+        let values = out.values_from(dataset, row, true)?;
         out.push_row(snapped, &values)?;
     }
     Ok((out, warnings))

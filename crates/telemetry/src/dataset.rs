@@ -183,19 +183,6 @@ impl Dataset {
         }
     }
 
-    /// Single scalar at `(row, attr_id)`.
-    #[deprecated(
-        since = "0.9.0",
-        note = "per-cell access pays an enum dispatch per row; take `Dataset::column` \
-                or a `ColumnarSnapshot` and scan the slice (see README migration note)"
-    )]
-    pub fn value(&self, row: usize, attr_id: usize) -> Value {
-        match &self.columns[attr_id] {
-            Column::Numeric(v) => Value::Num(v[row]),
-            Column::Categorical { ids, .. } => Value::Cat(ids[row]),
-        }
-    }
-
     /// Mutable access to a numeric column (used by noise injection).
     pub fn numeric_mut(&mut self, attr_id: usize) -> Result<&mut [f64]> {
         match &mut self.columns[attr_id] {
@@ -266,10 +253,7 @@ impl Dataset {
             }
         }
         for &row in region.indices() {
-            // Ingestion-side row materialization: per-cell access is fine
-            // off the diagnosis hot path.
-            #[allow(deprecated)]
-            let values: Vec<Value> = (0..self.schema.len()).map(|a| self.value(row, a)).collect();
+            let values = out.values_from(self, row, false)?;
             out.push_row(self.timestamps[row], &values)?;
         }
         Ok(out)
@@ -286,22 +270,39 @@ impl Dataset {
             ));
         }
         for row in 0..other.n_rows() {
-            let mut values = Vec::with_capacity(self.schema.len());
-            for attr_id in 0..self.schema.len() {
-                #[allow(deprecated)]
-                let v = match other.value(row, attr_id) {
-                    Value::Num(x) => Value::Num(x),
-                    Value::Cat(c) => {
-                        let (_, dict) = other.categorical(attr_id)?;
-                        let label = dict.label(c).unwrap_or("<unknown>").to_string();
-                        self.intern(attr_id, &label)?
-                    }
-                };
-                values.push(v);
-            }
+            let values = self.values_from(other, row, true)?;
             self.push_row(other.timestamps[row], &values)?;
         }
         Ok(())
+    }
+
+    /// Row `row` of `src` (same attribute layout) as values ready for this
+    /// dataset's [`push_row`](Self::push_row). With `reintern`, categorical
+    /// values are re-interned here by label, so the two datasets need not
+    /// share dictionary ids; without it, ids are copied verbatim and the
+    /// caller must have copied `src`'s dictionaries.
+    pub(crate) fn values_from(
+        &mut self,
+        src: &Dataset,
+        row: usize,
+        reintern: bool,
+    ) -> Result<Vec<Value>> {
+        let out_of_bounds = || TelemetryError::RowOutOfBounds { index: row, len: src.n_rows() };
+        let mut values = Vec::with_capacity(src.schema.len());
+        for attr_id in 0..src.schema.len() {
+            values.push(match src.column(attr_id) {
+                ColumnView::Numeric(v) => Value::Num(*v.0.get(row).ok_or_else(out_of_bounds)?),
+                ColumnView::Categorical(c) => {
+                    let id = *c.ids.get(row).ok_or_else(out_of_bounds)?;
+                    if reintern {
+                        self.intern(attr_id, c.dict.label(id).unwrap_or("<unknown>"))?
+                    } else {
+                        Value::Cat(id)
+                    }
+                }
+            });
+        }
+        Ok(values)
     }
 }
 
@@ -332,11 +333,6 @@ mod tests {
         let (ids, dict) = d.categorical(1).unwrap();
         assert_eq!(ids, &[0, 1, 0]);
         assert_eq!(dict.label(1), Some("busy"));
-        #[allow(deprecated)]
-        {
-            assert_eq!(d.value(1, 0), Value::Num(20.0));
-            assert_eq!(d.value(1, 1), Value::Cat(1));
-        }
         assert_eq!(d.timestamps(), &[0.0, 1.0, 2.0]);
     }
 

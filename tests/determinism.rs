@@ -3,7 +3,9 @@
 //! must produce bit-identical predicates, ranking, and confidences on
 //! arbitrary data, and `explain_batch` must return results in case order.
 
-use dbsherlock::core::{partition_separation_power, LabeledSpace, PartitionLabel, PartitionSpace};
+use dbsherlock::core::{
+    partition_separation_power, AblationFlags, LabeledSpace, PartitionLabel, PartitionSpace,
+};
 use dbsherlock::prelude::*;
 use proptest::prelude::*;
 
@@ -194,14 +196,24 @@ proptest! {
             prop_assert_eq!(observe(&columnar), observe(&scalar), "exec {:?}", exec);
         }
 
-        // Same at the generation layer, without the façade.
+        // Same at the generation layer, without the façade, under every
+        // Appendix D ablation and both policies.
         let normal = abnormal.clip(100).complement(100);
-        let params = SherlockParams::default();
-        let columnar_preds =
-            dbsherlock::core::generate_predicates(&d, &abnormal, &normal, &params);
-        let scalar_preds =
-            dbsherlock::core::scalar::generate_predicates(&d, &abnormal, &normal, &params);
-        prop_assert_eq!(columnar_preds, scalar_preds);
+        for skip_filtering in [false, true] {
+            for skip_filling in [false, true] {
+                let ablation = AblationFlags { skip_filtering, skip_filling };
+                let scalar_preds = dbsherlock::core::scalar::generate_predicates_ablated(
+                    &d, &abnormal, &normal, &SherlockParams::default(), ablation,
+                );
+                for exec in [ExecPolicy::Serial, ExecPolicy::Threads(4)] {
+                    let params = SherlockParams::default().with_exec(exec);
+                    let columnar_preds = dbsherlock::core::generate_predicates_ablated(
+                        &d, &abnormal, &normal, &params, ablation,
+                    );
+                    prop_assert_eq!(&columnar_preds, &scalar_preds, "{:?} {:?}", ablation, exec);
+                }
+            }
+        }
     }
 
     /// Automatic detection is policy-independent too (potential power and

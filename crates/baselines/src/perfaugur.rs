@@ -46,34 +46,23 @@ pub struct ScoredWindow {
     pub score: f64,
 }
 
-/// Score one window `[start, start+len)` of `values`: robust median shift
-/// times `sqrt(len)`, discounted by the window's own robust (5–95%)
-/// spread *relative to the shift*. The discount keeps a window from
+/// Exhaustively score all windows and return the best (the "naive
+/// algorithm"). Returns `None` for datasets too small to search.
+///
+/// A window `[start, start+len)` scores its robust median shift times
+/// `sqrt(len)`, discounted by the window's own robust (5–95%) spread
+/// *relative to the shift*. The discount keeps a window from
 /// "stretching" over normal data — a diluted window keeps its median but
 /// its internal spread explodes relative to the shift — while windows
 /// whose contents are volatile but hugely shifted stay competitive (the
 /// original's surprise-vs-impact trade-off).
-pub fn window_score(values: &[f64], start: usize, len: usize) -> f64 {
-    let inside = &values[start..start + len];
-    let outside: Vec<f64> =
-        values[..start].iter().chain(values[start + len..].iter()).copied().collect();
-    if outside.is_empty() {
-        return 0.0;
-    }
-    let shift = (stats::median(inside) - stats::median(&outside)).abs();
-    let spread = stats::quantile(inside, 0.95) - stats::quantile(inside, 0.05);
-    shift * (len as f64).sqrt() / (1.0 + spread / shift.max(1.0))
-}
-
-/// Exhaustively score all windows and return the best (the "naive
-/// algorithm"). Returns `None` for datasets too small to search.
 ///
-/// For speed on ten-minute datasets, the reference aggregate is the
-/// *global* median (anomaly windows are a small minority, so the global
-/// and outside medians are nearly identical) and each start position
-/// grows its window incrementally over a sorted buffer, giving
-/// O(n · w_max²) element moves instead of a sort per window. The scoring
-/// is identical to [`window_score`] up to that reference substitution.
+/// For speed on ten-minute datasets, the shift is taken against the
+/// *global* median instead of the median outside the window (anomaly
+/// windows are a small minority, so the two are nearly identical), and
+/// each start position grows its window incrementally over a sorted
+/// buffer, giving O(n · w_max²) element moves instead of a sort per
+/// window.
 pub fn detect(dataset: &Dataset, config: &PerfAugurConfig) -> Option<ScoredWindow> {
     let values = dataset.numeric_by_name(&config.indicator).ok()?;
     let n = values.len();
@@ -133,17 +122,6 @@ mod tests {
         let found = detect(&d, &PerfAugurConfig::default()).unwrap();
         let truth = Region::from_range(120..160);
         assert!(found.region.iou(&truth) > 0.9, "{:?}", found.region.intervals());
-    }
-
-    #[test]
-    fn longer_windows_with_same_shift_score_higher() {
-        let mut values = vec![10.0; 100];
-        for v in &mut values[50..70] {
-            *v = 80.0;
-        }
-        let short = window_score(&values, 50, 10);
-        let long = window_score(&values, 50, 20);
-        assert!(long > short);
     }
 
     #[test]

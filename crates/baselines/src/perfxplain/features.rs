@@ -54,7 +54,7 @@ pub fn compare_numeric(a: f64, b: f64) -> PairFeature {
 /// Attribute ids usable as features: everything except the performance
 /// indicator(s) the query is about — explaining a latency difference *by*
 /// the latency difference is vacuous.
-pub fn feature_attributes(dataset: &Dataset, excluded: &[&str]) -> Vec<usize> {
+pub(crate) fn feature_attributes(dataset: &Dataset, excluded: &[&str]) -> Vec<usize> {
     dataset
         .schema()
         .iter()

@@ -3,7 +3,8 @@
 //! Sweeps corpus size × attribute count × thread count and measures the
 //! diagnosis pipeline two ways over identical synthetic telemetry:
 //!
-//! * **columnar** — the production path: one [`ColumnarSnapshot`] per
+//! * **columnar** — the production path: one
+//!   [`ColumnarSnapshot`](dbsherlock_telemetry::ColumnarSnapshot) per
 //!   case, typed column views, branch-light per-column kernels
 //!   (`Sherlock::try_explain`).
 //! * **scalar** — the retained row-wise reference shim: per-cell
@@ -79,7 +80,7 @@ fn engine(dataset: &Dataset, abnormal: &Region, exec: ExecPolicy) -> Sherlock {
     let mut sherlock = Sherlock::new(SherlockParams::default().with_exec(exec));
     let seed = sherlock.explain(dataset, abnormal, None);
     sherlock.feedback("injected shift", &seed.predicates);
-    sherlock.feedback_with_action("red herring", &[], "restart", false);
+    sherlock.feedback("red herring", &[]);
     sherlock
 }
 

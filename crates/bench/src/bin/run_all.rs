@@ -15,6 +15,7 @@ const EXPERIMENTS: &[&str] = &[
     "table4_tpce",
     "fig11_overfitting",
     "table5_robustness",
+    "table5b_corrupted_telemetry",
     "table6_ablation",
     "fig12_parameters",
     "fig13_kappa",

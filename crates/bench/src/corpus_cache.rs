@@ -72,6 +72,27 @@ mod tests {
     }
 
     #[test]
+    fn corpus_seed_stream_is_pinned() {
+        // Every corpus, and so every committed result file, is drawn from
+        // this stream. A change to the vendored `rand` stand-in must fail
+        // here instead of silently moving every result.
+        use rand::{rngs::StdRng, RngCore, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(CORPUS_SEED);
+        let first: Vec<u64> = (0..8).map(|_| rng.next_u64()).collect();
+        let golden: [u64; 8] = [
+            4947983824172279079,
+            15797488903839013787,
+            16432782309327018984,
+            16220965543580979731,
+            9313231177124817870,
+            11470723288468426307,
+            13481156719311947367,
+            14784711765490593803,
+        ];
+        assert_eq!(first, golden);
+    }
+
+    #[test]
     fn corpus_is_memoized() {
         let a = tpcc_corpus().as_ptr();
         let b = tpcc_corpus().as_ptr();

@@ -81,7 +81,7 @@ pub fn write_json(name: &str, value: &Json) {
     let path = dir.join(format!("{name}.json"));
     match serde_json::to_string_pretty(value) {
         Ok(body) => {
-            // sherlock-lint: allow(raw-fs-write, unsynced-store-write): bench report, re-runnable — not a store artifact
+            // sherlock-lint: allow(unsynced-store-write): bench report, re-runnable — not a store artifact
             if let Err(e) = std::fs::write(&path, body) {
                 eprintln!("warning: cannot write {}: {e}", path.display());
             } else {

@@ -26,7 +26,7 @@ impl CausalGraph {
     /// `(i, j)` gets an edge with probability `edge_prob`; the effect
     /// variable `k-1` is guaranteed at least one parent. Coefficients are
     /// non-zero integers drawn from `[-10, 10]` (paper App. F).
-    pub fn random(k: usize, edge_prob: f64, rng: &mut StdRng) -> CausalGraph {
+    pub(crate) fn random(k: usize, edge_prob: f64, rng: &mut StdRng) -> CausalGraph {
         assert!(k >= 2, "a causal graph needs at least two variables");
         let mut parents: Vec<Vec<(usize, f64)>> = vec![Vec::new(); k];
         let coeff = |rng: &mut StdRng| -> f64 {
@@ -55,17 +55,17 @@ impl CausalGraph {
     }
 
     /// The effect variable's index (`V_k` in the paper).
-    pub fn effect_variable(&self) -> usize {
+    pub(crate) fn effect_variable(&self) -> usize {
         self.k - 1
     }
 
     /// Nodes with no incoming edges.
-    pub fn roots(&self) -> Vec<usize> {
+    pub(crate) fn roots(&self) -> Vec<usize> {
         (0..self.k).filter(|&j| self.parents[j].is_empty()).collect()
     }
 
     /// Is there a directed path from `from` to `to`?
-    pub fn reaches(&self, from: usize, to: usize) -> bool {
+    pub(crate) fn reaches(&self, from: usize, to: usize) -> bool {
         if from == to {
             return true;
         }
@@ -89,7 +89,7 @@ impl CausalGraph {
 
     /// Root ancestors of the effect variable — the paper's root cause
     /// variables `C`.
-    pub fn root_causes(&self) -> Vec<usize> {
+    pub(crate) fn root_causes(&self) -> Vec<usize> {
         let effect = self.effect_variable();
         self.roots().into_iter().filter(|&r| self.reaches(r, effect)).collect()
     }

@@ -26,7 +26,7 @@
 //! ```
 //!
 //! DBSCAN has one implementation, [`dbscan_by`], which takes each point's
-//! `ε`-neighbourhood as a predicate `within(i, j)`. [`dbscan`] feeds it
+//! `ε`-neighbourhood as a predicate `within(i, j)`. [`dbscan()`] feeds it
 //! Euclidean distances over the points. A caller that already holds the
 //! pairwise distances — DBSherlock's detector keeps an `n × n` matrix for
 //! its k-dist list — passes a lookup instead and gets the same labels:

@@ -29,11 +29,6 @@ impl<'a> ArgScan<'a> {
         ArgScan { args }
     }
 
-    /// The raw argument slice.
-    pub fn raw(&self) -> &'a [String] {
-        self.args
-    }
-
     /// The value following `--name`, if present.
     pub fn option(&self, name: &str) -> Option<&'a str> {
         self.args

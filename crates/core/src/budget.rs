@@ -40,18 +40,13 @@ use crate::error::SherlockError;
 pub struct CancelFlag(Arc<AtomicBool>);
 
 impl CancelFlag {
-    /// A fresh, unraised flag.
-    pub fn new() -> Self {
-        CancelFlag::default()
-    }
-
     /// Raise the flag; every budget holding a clone observes it.
     pub fn cancel(&self) {
         self.0.store(true, Ordering::Relaxed);
     }
 
     /// Has the flag been raised?
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -98,7 +93,7 @@ impl DiagnosisBudget {
 
     /// Reject parameter sets asking for more than `partitions` partitions
     /// per attribute.
-    pub fn with_max_partitions(mut self, partitions: usize) -> Self {
+    pub(crate) fn with_max_partitions(mut self, partitions: usize) -> Self {
         self.max_partitions = Some(partitions);
         self
     }
@@ -107,29 +102,6 @@ impl DiagnosisBudget {
     pub fn with_cancel_flag(mut self, flag: CancelFlag) -> Self {
         self.cancel = Some(flag);
         self
-    }
-
-    /// The configured deadline, if any.
-    pub fn deadline_ms(&self) -> Option<u64> {
-        self.deadline_ms
-    }
-
-    /// The configured row limit, if any.
-    pub fn max_rows(&self) -> Option<usize> {
-        self.max_rows
-    }
-
-    /// The configured partition limit, if any.
-    pub fn max_partitions(&self) -> Option<usize> {
-        self.max_partitions
-    }
-
-    /// Is every axis unlimited (the armed checks all no-ops)?
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline_ms.is_none()
-            && self.max_rows.is_none()
-            && self.max_partitions.is_none()
-            && self.cancel.is_none()
     }
 
     /// Start the clock: produce the [`ArmedBudget`] the pipeline stages
@@ -158,7 +130,7 @@ impl ArmedBudget {
     /// Cooperative checkpoint: fails when the flag is raised or the
     /// deadline has passed. Call between independent units of work; `stage`
     /// labels the resulting error.
-    pub fn check(&self, stage: &'static str) -> Result<(), SherlockError> {
+    pub(crate) fn check(&self, stage: &'static str) -> Result<(), SherlockError> {
         if let Some(flag) = &self.config.cancel {
             if flag.is_cancelled() {
                 return Err(SherlockError::Cancelled { stage });
@@ -175,7 +147,7 @@ impl ArmedBudget {
     /// Up-front admission control for one case: row count against
     /// `max_rows`, requested partitions against `max_partitions`.
     /// Deterministic — independent of wall clock and thread schedule.
-    pub fn admit(&self, n_rows: usize, n_partitions: usize) -> Result<(), SherlockError> {
+    pub(crate) fn admit(&self, n_rows: usize, n_partitions: usize) -> Result<(), SherlockError> {
         if let Some(limit) = self.config.max_rows {
             if n_rows > limit {
                 return Err(SherlockError::BudgetExceeded { what: "rows", actual: n_rows, limit });
@@ -192,11 +164,6 @@ impl ArmedBudget {
         }
         Ok(())
     }
-
-    /// Time elapsed since the budget was armed.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +175,6 @@ mod tests {
         let armed = ArmedBudget::unlimited();
         assert!(armed.check("anywhere").is_ok());
         assert!(armed.admit(usize::MAX, usize::MAX).is_ok());
-        assert!(DiagnosisBudget::default().is_unlimited());
     }
 
     #[test]
@@ -242,7 +208,7 @@ mod tests {
 
     #[test]
     fn cancellation_is_observed_via_clones() {
-        let flag = CancelFlag::new();
+        let flag = CancelFlag::default();
         let armed = DiagnosisBudget::unlimited().with_cancel_flag(flag.clone()).arm();
         assert!(armed.check("rank").is_ok());
         flag.cancel();
@@ -251,9 +217,9 @@ mod tests {
 
     #[test]
     fn flag_equality_is_identity() {
-        let a = CancelFlag::new();
+        let a = CancelFlag::default();
         let clone = a.clone();
-        let b = CancelFlag::new();
+        let b = CancelFlag::default();
         assert_eq!(a, clone);
         assert_ne!(a, b);
         // Budgets compare accordingly (params carry budgets and derive

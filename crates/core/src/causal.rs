@@ -108,9 +108,8 @@ impl CausalModel {
 
     /// Rows of `dataset` this model flags abnormal: those satisfying the
     /// *conjunction* of all effect predicates. Evaluated columnar: one
-    /// mask fill per predicate, AND-folded, instead of a per-row
-    /// conjunction of `matches_row` calls.
-    pub fn predicted_region(&self, dataset: &Dataset) -> Region {
+    /// mask fill per predicate, AND-folded.
+    pub(crate) fn predicted_region(&self, dataset: &Dataset) -> Region {
         if self.predicates.is_empty() {
             return Region::new();
         }

@@ -44,7 +44,7 @@ pub fn potential_power(normalized: &[f64], tau: usize) -> f64 {
 /// and with `stop_above = ∞` the result *is* the potential power.
 ///
 /// The window is kept sorted and each slide replaces the leaving value by
-/// the entering one in place ([`replace_sorted`]), instead of copying the
+/// the entering one in place (`replace_sorted`), instead of copying the
 /// window and selecting its median afresh. The median of the sorted window
 /// is the same order statistic (and the same even-`τ` average) that
 /// [`stats::median_in_place`] computes.

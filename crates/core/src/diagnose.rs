@@ -14,7 +14,6 @@
 
 use dbsherlock_telemetry::{Dataset, Region};
 
-use crate::actions::{ActionLog, Remediation};
 use crate::budget::ArmedBudget;
 use crate::causal::{CausalModel, ModelRepository, RankedCause};
 use crate::detect::{try_detect_anomaly, Detection};
@@ -47,12 +46,6 @@ impl<'a> Case<'a> {
     pub fn new(dataset: &'a Dataset, abnormal: &'a Region) -> Self {
         Case { dataset, abnormal, normal: None }
     }
-
-    /// Attach an explicit normal region.
-    pub fn with_normal(mut self, normal: &'a Region) -> Self {
-        self.normal = Some(normal);
-        self
-    }
 }
 
 /// A complete explanation for one user-specified anomaly.
@@ -67,8 +60,7 @@ pub struct Explanation {
     /// margin-of-confidence analyses.
     pub all_causes: Vec<RankedCause>,
     /// Interventional verdicts, one per validated candidate. Empty until
-    /// the explanation is passed through
-    /// [`validate_explanation`](crate::intervene::validate_explanation)
+    /// the explanation is passed through [`validate_explanation`]
     /// (directly or via [`Sherlock::try_explain_validated`]).
     pub interventions: Vec<CauseVerdict>,
 }
@@ -86,14 +78,12 @@ impl Explanation {
     }
 }
 
-/// The DBSherlock engine: parameters + domain knowledge + causal models +
-/// remediation memory.
+/// The DBSherlock engine: parameters + domain knowledge + causal models.
 #[derive(Debug, Clone, Default)]
 pub struct Sherlock {
     params: SherlockParams,
     domain: DomainKnowledge,
     repository: ModelRepository,
-    actions: ActionLog,
 }
 
 impl Sherlock {
@@ -329,30 +319,6 @@ impl Sherlock {
         self.repository.add(CausalModel::from_feedback(cause, predicates));
     }
 
-    /// [`feedback`](Self::feedback) that also records the remediation the
-    /// DBA applied and whether it resolved the incident (paper §10's
-    /// future work: stored actions become suggestions).
-    pub fn feedback_with_action(
-        &mut self,
-        cause: &str,
-        predicates: &[GeneratedPredicate],
-        action: &str,
-        resolved: bool,
-    ) {
-        self.feedback(cause, predicates);
-        self.actions.record(cause, action, resolved);
-    }
-
-    /// Remembered remediations for a cause, best success rate first.
-    pub fn suggested_actions(&self, cause: &str) -> Vec<&Remediation> {
-        self.actions.suggestions(cause)
-    }
-
-    /// The remediation memory.
-    pub fn action_log(&self) -> &ActionLog {
-        &self.actions
-    }
-
     /// Automatic anomaly detection (§7). Advisory: an over-budget or
     /// internally failing run degrades to `None`; use
     /// [`try_detect`](Self::try_detect) to see the error.
@@ -524,7 +490,7 @@ mod tests {
         let cases = [
             Case::new(&d, &abnormal),
             Case::new(&d, &out_of_range),
-            Case::new(&d, &abnormal).with_normal(&prefix),
+            Case { normal: Some(&prefix), ..Case::new(&d, &abnormal) },
         ];
         let results = sherlock.explain_batch(&cases);
         assert_eq!(results.len(), 3);

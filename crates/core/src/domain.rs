@@ -57,7 +57,7 @@ impl DomainKnowledge {
     }
 
     /// Add one rule; errors when its inverse is already present.
-    pub fn add(&mut self, rule: Rule) -> Result<(), SherlockError> {
+    pub(crate) fn add(&mut self, rule: Rule) -> Result<(), SherlockError> {
         if self.rules.iter().any(|r| r.cause == rule.effect && r.effect == rule.cause) {
             return Err(SherlockError::ConflictingRules {
                 detail: format!(
@@ -70,11 +70,6 @@ impl DomainKnowledge {
             self.rules.push(rule);
         }
         Ok(())
-    }
-
-    /// The rules.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
     }
 
     /// The paper's four default rules for MySQL on Linux (§5), phrased in
@@ -261,14 +256,14 @@ mod tests {
         assert!(kb.add(Rule::new("b", "a")).is_err());
         // Duplicates are idempotent.
         kb.add(Rule::new("a", "b")).unwrap();
-        assert_eq!(kb.rules().len(), 1);
+        assert_eq!(kb.rules.len(), 1);
     }
 
     #[test]
     fn default_rules_exist() {
         let kb = DomainKnowledge::mysql_linux();
-        assert_eq!(kb.rules().len(), 4);
-        assert!(kb.rules().iter().any(|r| r.cause == "dbms_cpu_usage"));
+        assert_eq!(kb.rules.len(), 4);
+        assert!(kb.rules.iter().any(|r| r.cause == "dbms_cpu_usage"));
     }
 
     #[test]

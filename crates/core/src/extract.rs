@@ -11,14 +11,14 @@
 //! to an `Attr ∈ {...}` predicate (directly after labeling; no filtering
 //! or gap-filling).
 
-use dbsherlock_telemetry::{stats, Dataset, Dictionary, Region};
+use dbsherlock_telemetry::{stats, Dictionary, Region};
 
 use crate::partition::{PartitionLabel, PartitionSpace};
 use crate::predicate::Predicate;
 
 /// The single maximal run of `Abnormal` partitions, if there is exactly
 /// one; `None` when there are zero or several runs.
-pub fn single_abnormal_block(labels: &[PartitionLabel]) -> Option<std::ops::Range<usize>> {
+pub(crate) fn single_abnormal_block(labels: &[PartitionLabel]) -> Option<std::ops::Range<usize>> {
     let mut block: Option<std::ops::Range<usize>> = None;
     let mut j = 0;
     while j < labels.len() {
@@ -39,25 +39,13 @@ pub fn single_abnormal_block(labels: &[PartitionLabel]) -> Option<std::ops::Rang
 }
 
 /// Normalized mean difference `d = |µ_A − µ_N|` of a numeric attribute
-/// (paper Eq. 2 + §4.5). Returns `None` when either region contributes no
-/// finite values.
-pub fn normalized_mean_difference(
-    dataset: &Dataset,
-    attr_id: usize,
-    abnormal: &Region,
-    normal: &Region,
-) -> Option<f64> {
-    let values = dataset.numeric(attr_id)?;
-    let range = dataset.numeric_range(attr_id).ok()?;
-    normalized_mean_difference_view(values, range, abnormal, normal)
-}
-
-/// Columnar [`normalized_mean_difference`] kernel: a fused
-/// normalize-and-sum scan per region over the attribute-contiguous slice
-/// (no intermediate buffers), with `range` supplied by the caller — the
-/// snapshot's memoized `(min, max)` on the hot path. Summation order is
-/// the region's index order, matching the buffered form bit for bit.
-pub fn normalized_mean_difference_view(
+/// (paper Eq. 2 + §4.5); `None` when either region contributes no finite
+/// values. A fused normalize-and-sum scan per region over the
+/// attribute-contiguous slice (no intermediate buffers), with `range`
+/// supplied by the caller — the snapshot's memoized `(min, max)` on the
+/// hot path. Summation order is the region's index order, matching the
+/// buffered form bit for bit.
+pub(crate) fn normalized_mean_difference_view(
     values: &[f64],
     (min, max): (f64, f64),
     abnormal: &Region,
@@ -87,7 +75,7 @@ pub fn normalized_mean_difference_view(
 /// Extract the numeric candidate predicate for the given filled labels, or
 /// `None` when the single-block condition fails or the block spans the
 /// whole space (no boundary to report).
-pub fn extract_numeric(
+pub(crate) fn extract_numeric(
     attr_name: &str,
     space: &PartitionSpace,
     filled: &[PartitionLabel],
@@ -108,20 +96,9 @@ pub fn extract_numeric(
     }
 }
 
-/// Extract the categorical candidate predicate: all `Abnormal` categories.
-pub fn extract_categorical(
-    attr_name: &str,
-    dataset: &Dataset,
-    attr_id: usize,
-    labels: &[PartitionLabel],
-) -> Option<Predicate> {
-    let (_, dict) = dataset.categorical(attr_id).ok()?;
-    extract_categorical_view(attr_name, dict, labels)
-}
-
-/// [`extract_categorical`] against an already-resolved dictionary (the
-/// snapshot path).
-pub fn extract_categorical_view(
+/// Extract the categorical candidate predicate: all `Abnormal` categories
+/// of `dict`.
+pub(crate) fn extract_categorical_view(
     attr_name: &str,
     dict: &Dictionary,
     labels: &[PartitionLabel],
@@ -143,7 +120,7 @@ pub fn extract_categorical_view(
 mod tests {
     use super::*;
     use crate::partition::PartitionLabel::{Abnormal as A, Normal as N};
-    use dbsherlock_telemetry::{AttributeMeta, Schema, Value};
+    use dbsherlock_telemetry::{AttributeMeta, Dataset, Schema, Value};
 
     fn space_0_100(r: usize) -> PartitionSpace {
         PartitionSpace::Numeric { min: 0.0, max: 100.0, r }
@@ -201,10 +178,11 @@ mod tests {
         }
         let normal = Region::from_range(0..5);
         let abnormal = Region::from_range(5..10);
-        let diff = normalized_mean_difference(&d, 0, &abnormal, &normal).unwrap();
+        let (values, range) = (d.numeric(0).unwrap(), d.numeric_range(0).unwrap());
+        let diff = normalized_mean_difference_view(values, range, &abnormal, &normal).unwrap();
         assert!(diff > 0.8, "diff {diff}");
         // Empty region yields None.
-        assert!(normalized_mean_difference(&d, 0, &Region::new(), &normal).is_none());
+        assert!(normalized_mean_difference_view(values, range, &Region::new(), &normal).is_none());
     }
 
     #[test]
@@ -216,8 +194,9 @@ mod tests {
             d.push_row(0.0, &[v]).unwrap();
         }
         let labels = [A, N, A];
-        let p = extract_categorical("c", &d, 0, &labels).unwrap();
+        let dict = d.categorical(0).unwrap().1;
+        let p = extract_categorical_view("c", dict, &labels).unwrap();
         assert_eq!(p, Predicate::in_set("c", ["a".to_string(), "c".to_string()]));
-        assert_eq!(extract_categorical("c", &d, 0, &[N, N, N]), None);
+        assert_eq!(extract_categorical_view("c", dict, &[N, N, N]), None);
     }
 }

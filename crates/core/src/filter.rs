@@ -33,36 +33,6 @@ pub fn filter_partitions(labels: &[PartitionLabel]) -> Vec<PartitionLabel> {
     out
 }
 
-/// The *incremental* variant the paper rejects (§4.3): demotions are
-/// applied one at a time and immediately visible to later decisions, so
-/// partitions "continuously filter each other out" — in Fig. 5's
-/// scenarios 2 and 3 even the partitions at the ends of the space are
-/// eventually lost. Provided for the ablation study and as executable
-/// documentation of why the simultaneous rule matters.
-pub fn filter_partitions_incremental(labels: &[PartitionLabel]) -> Vec<PartitionLabel> {
-    let mut out = labels.to_vec();
-    loop {
-        let non_empty: Vec<usize> = out
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l != PartitionLabel::Empty)
-            .map(|(i, _)| i)
-            .collect();
-        let mut changed = false;
-        for w in non_empty.windows(3) {
-            let (left, mid, right) = (w[0], w[1], w[2]);
-            if out[mid] != out[left] || out[mid] != out[right] {
-                out[mid] = PartitionLabel::Empty;
-                changed = true;
-                break; // re-scan with the demotion visible
-            }
-        }
-        if !changed {
-            return out;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,33 +94,6 @@ mod tests {
     fn all_empty_is_noop() {
         let labels = vec![E, E, E];
         assert_eq!(filter_partitions(&labels), labels);
-    }
-
-    #[test]
-    fn incremental_filtering_cascades_as_the_paper_warns() {
-        // Fig. 5 scenario 2: A ... N ... A. Simultaneous keeps the ends;
-        // incremental erodes everything once blocks shrink to dissenting
-        // singletons between larger structures.
-        let labels = vec![A, N, A, N, A];
-        let simultaneous = filter_partitions(&labels);
-        let incremental = filter_partitions_incremental(&labels);
-        let survivors = |v: &[PartitionLabel]| v.iter().filter(|&&l| l != E).count();
-        assert_eq!(survivors(&simultaneous), 2, "{simultaneous:?}");
-        assert!(
-            survivors(&incremental) < survivors(&labels),
-            "incremental must erode: {incremental:?}"
-        );
-        // And the cascade always reaches a fixed point (terminates) with
-        // no mid-sequence dissenters left.
-        let again = filter_partitions_incremental(&incremental);
-        assert_eq!(again, incremental);
-    }
-
-    #[test]
-    fn incremental_agrees_with_simultaneous_on_clean_input() {
-        let labels = vec![N, N, E, E, A, A];
-        // No interior disagreement on either side of the gap.
-        assert_eq!(filter_partitions_incremental(&labels), filter_partitions(&labels));
     }
 
     #[test]

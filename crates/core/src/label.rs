@@ -28,7 +28,7 @@ pub fn label_partitions(
 /// the hit counts. Kind mismatches between `view` and `space` yield all-
 /// `Empty` labels rather than a panic; upstream generation never produces
 /// one.
-pub fn label_partitions_view(
+pub(crate) fn label_partitions_view(
     view: ColumnView<'_>,
     space: &PartitionSpace,
     abnormal: &Region,

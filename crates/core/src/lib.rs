@@ -46,7 +46,6 @@
 //! assert_eq!(again.top_cause().unwrap().cause, "runaway batch job");
 //! ```
 
-pub mod actions;
 pub mod argv;
 pub mod budget;
 pub mod causal;
@@ -73,7 +72,6 @@ pub mod scalar;
 pub mod separation;
 pub mod store;
 
-pub use actions::{ActionLog, AutoAction, AutoRemediationPolicy, Decision, Remediation};
 pub use argv::ArgScan;
 pub use budget::{ArmedBudget, CancelFlag, DiagnosisBudget};
 pub use causal::{Accuracy, CausalModel, ModelRepository, RankedCause};

@@ -9,8 +9,10 @@ use crate::exec::ExecPolicy;
 /// All knobs of the predicate-generation and diagnosis pipeline, with the
 /// paper's defaults.
 ///
-/// Fields are private: read them through the accessor methods
-/// ([`theta`](SherlockParams::theta), [`delta`](SherlockParams::delta), …)
+/// Fields are private: read the caller-facing knobs through
+/// [`theta`](SherlockParams::theta),
+/// [`min_separation_power`](SherlockParams::min_separation_power),
+/// [`exec`](SherlockParams::exec) and [`budget`](SherlockParams::budget),
 /// and set them through [`SherlockParams::builder`] (validating) or the
 /// infallible `with_*` conveniences. `Default` still yields the paper's
 /// configuration.
@@ -107,59 +109,14 @@ impl SherlockParams {
         SherlockParamsBuilder { params: SherlockParams::default() }
     }
 
-    /// Number of equi-width partitions `R` (§4.1).
-    pub fn n_partitions(&self) -> usize {
-        self.n_partitions
-    }
-
     /// Normalized difference threshold `θ` (§4.5).
     pub fn theta(&self) -> f64 {
         self.theta
     }
 
-    /// Anomaly distance multiplier `δ` (§4.4).
-    pub fn delta(&self) -> f64 {
-        self.delta
-    }
-
     /// Minimum tuple-level separation power (Eq. 1) for emitted predicates.
     pub fn min_separation_power(&self) -> f64 {
         self.min_separation_power
-    }
-
-    /// Bins per attribute `γ` for the independence test (§5).
-    pub fn gamma(&self) -> usize {
-        self.gamma
-    }
-
-    /// Independence-factor threshold `κ_t` (§5).
-    pub fn kappa_t(&self) -> f64 {
-        self.kappa_t
-    }
-
-    /// Minimum reported model confidence `λ` (§6).
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// Sliding-window size `τ` for the potential-power filter (§7).
-    pub fn tau(&self) -> usize {
-        self.tau
-    }
-
-    /// Potential-power threshold `PP_t` (§7).
-    pub fn pp_t(&self) -> f64 {
-        self.pp_t
-    }
-
-    /// DBSCAN `minPts` (§7).
-    pub fn min_pts(&self) -> usize {
-        self.min_pts
-    }
-
-    /// Maximum anomalous-cluster fraction (§7).
-    pub fn max_anomaly_fraction(&self) -> f64 {
-        self.max_anomaly_fraction
     }
 
     /// Thread budget for the parallel pipeline stages.
@@ -334,14 +291,14 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let p = SherlockParams::default();
-        assert_eq!(p.n_partitions(), 250);
+        assert_eq!(p.n_partitions, 250);
         assert_eq!(p.theta(), 0.2);
-        assert_eq!(p.delta(), 10.0);
-        assert_eq!(p.kappa_t(), 0.15);
-        assert_eq!(p.lambda(), 0.2);
-        assert_eq!(p.tau(), 20);
-        assert_eq!(p.pp_t(), 0.3);
-        assert_eq!(p.min_pts(), 3);
+        assert_eq!(p.delta, 10.0);
+        assert_eq!(p.kappa_t, 0.15);
+        assert_eq!(p.lambda, 0.2);
+        assert_eq!(p.tau, 20);
+        assert_eq!(p.pp_t, 0.3);
+        assert_eq!(p.min_pts, 3);
         assert_eq!(p.exec(), ExecPolicy::Auto);
     }
 
@@ -349,15 +306,15 @@ mod tests {
     fn merging_profile_lowers_theta() {
         let p = SherlockParams::for_merging();
         assert_eq!(p.theta(), 0.05);
-        assert_eq!(p.n_partitions(), 250);
+        assert_eq!(p.n_partitions, 250);
     }
 
     #[test]
     fn builders_override() {
         let p = SherlockParams::default().with_theta(0.4).with_partitions(0).with_delta(0.1);
         assert_eq!(p.theta(), 0.4);
-        assert_eq!(p.n_partitions(), 1); // clamped to at least one partition
-        assert_eq!(p.delta(), 0.1);
+        assert_eq!(p.n_partitions, 1); // clamped to at least one partition
+        assert_eq!(p.delta, 0.1);
     }
 
     #[test]
@@ -372,7 +329,7 @@ mod tests {
         assert_eq!(p.min_separation_power(), 0.0);
         assert_eq!(p.exec(), ExecPolicy::Serial);
         // Untouched knobs keep the paper's defaults.
-        assert_eq!(p.n_partitions(), 250);
+        assert_eq!(p.n_partitions, 250);
     }
 
     #[test]
@@ -401,7 +358,7 @@ mod tests {
     fn budget_is_an_operational_knob() {
         // Defaults to unlimited, settable via both builder styles, and —
         // like `exec` — never serialized.
-        assert!(SherlockParams::default().budget().is_unlimited());
+        assert_eq!(SherlockParams::default().budget(), &DiagnosisBudget::unlimited());
         let budget = DiagnosisBudget::unlimited().with_deadline_ms(500).with_max_rows(10_000);
         let p = SherlockParams::default().with_budget(budget.clone());
         assert_eq!(p.budget(), &budget);
@@ -410,7 +367,7 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         assert!(!json.contains("budget"));
         let back: SherlockParams = serde_json::from_str(&json).unwrap();
-        assert!(back.budget().is_unlimited());
+        assert_eq!(back.budget(), &DiagnosisBudget::unlimited());
     }
 
     #[test]

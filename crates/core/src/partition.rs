@@ -84,7 +84,7 @@ impl PartitionSpace {
 
     /// Categorical space from a column dictionary: one partition per
     /// distinct category; `None` for an empty dictionary.
-    pub fn from_dictionary(dict: &Dictionary) -> Option<PartitionSpace> {
+    pub(crate) fn from_dictionary(dict: &Dictionary) -> Option<PartitionSpace> {
         if dict.is_empty() {
             return None;
         }
@@ -123,7 +123,7 @@ impl PartitionSpace {
     /// Monomorphic binner for numeric spaces: resolves the enum dispatch
     /// once so per-row loops in the columnar kernels bin values without
     /// re-matching on the space. `None` for categorical spaces.
-    pub fn numeric_binner(&self) -> Option<NumericBinner> {
+    pub(crate) fn numeric_binner(&self) -> Option<NumericBinner> {
         match *self {
             PartitionSpace::Numeric { min, max, r } => Some(NumericBinner { min, max, r }),
             PartitionSpace::Categorical { .. } => None,
@@ -155,7 +155,7 @@ impl PartitionSpace {
 }
 
 /// Dispatch-free partition binning for one numeric space (see
-/// [`PartitionSpace::numeric_binner`]). The truncate/clamp expression is
+/// `PartitionSpace::numeric_binner`). The truncate/clamp expression is
 /// shared with [`PartitionSpace::index_of_num`] and is part of the
 /// pipeline's bit-identity contract: it equals the paper's
 /// `floor((v − Min) / (Max − Min) · R)` clamped to `[0, R − 1]`, because
@@ -172,7 +172,7 @@ impl NumericBinner {
     /// Partition index of `v`; `None` for non-finite values, clamped to
     /// the edge partitions outside `[min, max]`.
     #[inline]
-    pub fn bin(&self, v: f64) -> Option<usize> {
+    pub(crate) fn bin(&self, v: f64) -> Option<usize> {
         if !v.is_finite() {
             return None;
         }

@@ -22,8 +22,8 @@ use dbsherlock_telemetry::{stats, AttributeKind, ColumnView, Dataset, Region, Va
 
 use crate::causal::{CausalModel, ModelRepository, RankedCause};
 use crate::detect::Detection;
-use crate::extract::{extract_categorical, extract_numeric};
-use crate::fill::fill_gaps;
+use crate::extract::{extract_categorical_view, extract_numeric};
+use crate::fill::fill_gaps_view;
 use crate::filter::filter_partitions;
 use crate::generate::{AblationFlags, GeneratedPredicate};
 use crate::params::SherlockParams;
@@ -41,9 +41,9 @@ fn value(dataset: &Dataset, row: usize, attr_id: usize) -> Value {
     }
 }
 
-/// Row-wise [`Predicate::matches_row`]: one `value()` dispatch (and, for
-/// categorical attributes, one dictionary lookup) per call.
-pub fn matches_row(predicate: &Predicate, dataset: &Dataset, row: usize) -> bool {
+/// Row-wise evaluation of `predicate` on one row: one `value()` dispatch
+/// (and, for categorical attributes, one dictionary lookup) per call.
+pub(crate) fn matches_row(predicate: &Predicate, dataset: &Dataset, row: usize) -> bool {
     let Some(attr_id) = dataset.schema().id_of(&predicate.attr) else {
         return false;
     };
@@ -61,9 +61,9 @@ pub fn matches_row(predicate: &Predicate, dataset: &Dataset, row: usize) -> bool
     }
 }
 
-/// Row-wise [`Predicate::selectivity`]: one [`matches_row`] per row, with
-/// the attribute re-resolved every time.
-pub fn selectivity(predicate: &Predicate, dataset: &Dataset, rows: &[usize]) -> f64 {
+/// Row-wise selectivity `|Pred(T)| / |T|`: one [`matches_row`] per row,
+/// with the attribute re-resolved every time.
+pub(crate) fn selectivity(predicate: &Predicate, dataset: &Dataset, rows: &[usize]) -> f64 {
     if rows.is_empty() {
         return 0.0;
     }
@@ -84,7 +84,7 @@ pub fn separation_power(
 
 /// Row-wise §4.2 labeling: one `value()` dispatch per (region row), then
 /// the same purity/majority fold as the columnar kernel.
-pub fn label_partitions(
+pub(crate) fn label_partitions(
     dataset: &Dataset,
     attr_id: usize,
     space: &PartitionSpace,
@@ -149,7 +149,7 @@ pub fn label_partitions(
 /// partition is far narrower than any predicate of interest at the default
 /// R, so midpoint vs. overlap is immaterial) and the partition's category
 /// label for categorical spaces.
-pub fn partition_satisfies(
+pub(crate) fn partition_satisfies(
     predicate: &Predicate,
     space: &PartitionSpace,
     dataset: &Dataset,
@@ -170,7 +170,7 @@ pub fn partition_satisfies(
 }
 
 /// Row-wise partition-space separation power (one Eq. 3 term): one
-/// [`partition_satisfies`] call — a midpoint test or a dictionary lookup —
+/// `partition_satisfies` call — a midpoint test or a dictionary lookup —
 /// per labeled partition.
 pub fn partition_separation_power(
     predicate: &Predicate,
@@ -214,7 +214,7 @@ pub fn partition_separation_power(
 /// Buffered Eq. 2: collect the normalized finite values of each region
 /// into an intermediate vector, then take its mean (the columnar kernel
 /// fuses the normalize-and-sum; the summation order is identical).
-pub fn normalized_mean_difference(
+pub(crate) fn normalized_mean_difference(
     dataset: &Dataset,
     attr_id: usize,
     abnormal: &Region,
@@ -284,7 +284,8 @@ pub fn generate_predicates_ablated(
                     let filled = if ablation.skip_filling {
                         filtered
                     } else {
-                        fill_gaps(&filtered, params.delta, dataset, attr_id, &space, normal)
+                        let values = dataset.numeric(attr_id).unwrap_or(&[]);
+                        fill_gaps_view(&filtered, params.delta, values, &space, normal)
                     };
                     let d = normalized_mean_difference(dataset, attr_id, abnormal, normal)?;
                     if d <= params.theta {
@@ -299,7 +300,8 @@ pub fn generate_predicates_ablated(
                     })
                 }
                 AttributeKind::Categorical => {
-                    let predicate = extract_categorical(&attr.name, dataset, attr_id, &labels)?;
+                    let (_, dict) = dataset.categorical(attr_id).ok()?;
+                    let predicate = extract_categorical_view(&attr.name, dict, &labels)?;
                     let sp = separation_power(&predicate, dataset, abnormal, normal);
                     (sp >= params.min_separation_power).then_some(GeneratedPredicate {
                         predicate,
@@ -314,7 +316,7 @@ pub fn generate_predicates_ablated(
 
 /// Row-wise Eq. 3: each predicate rebuilds and relabels its attribute's
 /// partition space from scratch (no per-case index).
-pub fn confidence(
+pub(crate) fn confidence(
     model: &CausalModel,
     dataset: &Dataset,
     abnormal: &Region,
@@ -346,7 +348,7 @@ pub fn confidence(
 }
 
 /// Row-wise model's predicted region: a per-row conjunction of
-/// [`matches_row`] calls.
+/// `matches_row` calls.
 pub fn predicted_region(model: &CausalModel, dataset: &Dataset) -> Region {
     if model.predicates.is_empty() {
         return Region::new();
@@ -359,7 +361,7 @@ pub fn predicted_region(model: &CausalModel, dataset: &Dataset) -> Region {
 
 /// Row-wise ranking: a serial loop of uncached [`confidence`] calls, with
 /// the same decreasing-confidence / cause-name tie-break order.
-pub fn rank(
+pub(crate) fn rank(
     repository: &ModelRepository,
     dataset: &Dataset,
     abnormal: &Region,

@@ -3,7 +3,7 @@
 use dbsherlock_telemetry::{ColumnView, Dataset, Region};
 
 use crate::partition::{LabeledSpace, PartitionLabel, PartitionSpace};
-use crate::predicate::{Predicate, PredicateOp};
+use crate::predicate::Predicate;
 
 /// Tuple-level separation power (Eq. 1):
 /// `SP(Pred) = |Pred(T_A)| / |T_A|  −  |Pred(T_N)| / |T_N|`, in `[-1, 1]`.
@@ -23,7 +23,7 @@ pub fn separation_power(
 /// [`separation_power`] over an already-resolved column view: fills the
 /// predicate's mask once, then counts hits over both regions — one column
 /// scan instead of two row-wise selectivity passes.
-pub fn separation_power_view(
+pub(crate) fn separation_power_view(
     predicate: &Predicate,
     view: ColumnView<'_>,
     abnormal: &Region,
@@ -61,16 +61,6 @@ pub fn partition_separation_power(
         PartitionSpace::Categorical { .. } => dataset.categorical(attr_id).ok().map(|(_, d)| d),
     };
     LabeledSpace::new(space.clone(), labels.to_vec()).separation_power(&predicate.op, dict)
-}
-
-/// Sanity helper: a predicate op directed "upwards" (`Gt`) vs "downwards"
-/// (`Lt`); `Between`/`InSet` are direction-free. Used by model merging.
-pub fn numeric_direction(op: &PredicateOp) -> Option<bool> {
-    match op {
-        PredicateOp::Gt(_) => Some(true),
-        PredicateOp::Lt(_) => Some(false),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -130,13 +120,5 @@ mod tests {
         let labels = [E, A];
         let p = Predicate::gt("x", 50.0);
         assert_eq!(partition_separation_power(&p, &space, &labels, &d, 0), 1.0);
-    }
-
-    #[test]
-    fn directions() {
-        assert_eq!(numeric_direction(&PredicateOp::Gt(1.0)), Some(true));
-        assert_eq!(numeric_direction(&PredicateOp::Lt(1.0)), Some(false));
-        assert_eq!(numeric_direction(&PredicateOp::Between(0.0, 1.0)), None);
-        assert_eq!(numeric_direction(&PredicateOp::InSet(vec![])), None);
     }
 }

@@ -170,7 +170,7 @@ impl ModelStore {
     }
 
     /// Where the previous good generation lives.
-    pub fn backup_path(&self) -> PathBuf {
+    pub(crate) fn backup_path(&self) -> PathBuf {
         sibling(&self.path, ".prev")
     }
 
@@ -480,8 +480,7 @@ impl StoreFault {
         }
         // Faults are injected while nothing is mid-save, so a plain
         // truncating rewrite is fine here — this is the *injector*, not the
-        // store. sherlock-lint: allow(raw-fs-write): fault injector writes
-        // deliberately unsafely.
+        // store.
         let mut file = OpenOptions::new().write(true).truncate(true).open(path)?;
         file.write_all(&bytes)?;
         Ok(())

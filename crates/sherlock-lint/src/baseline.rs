@@ -130,7 +130,7 @@ impl Baseline {
             body.push_str(line);
             body.push('\n');
         }
-        // sherlock-lint: allow(raw-fs-write, unsynced-store-write): the baseline is regenerated wholesale; a torn write just re-runs
+        // sherlock-lint: allow(unsynced-store-write): the baseline is regenerated wholesale; a torn write just re-runs
         std::fs::write(path, body)
     }
 

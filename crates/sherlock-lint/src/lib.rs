@@ -26,7 +26,6 @@
 //!   header so clippy enforces the panic policy at compile time.
 //! * `raw-spawn` — bare `thread::spawn`/`thread::scope` outside the
 //!   execution layer (parallelism routes through `par_map_indexed`).
-//! * `raw-fs-write` — bare `fs::write` outside the crash-safe store.
 //!
 //! **Semantic rules** run on the [`syntax`] layer — a delimiter tree with
 //! import resolution and a per-scope binding table — so they can reason

@@ -28,11 +28,6 @@ pub enum RuleKind {
     /// execution layer (`crates/core/src/exec.rs`). Parallelism must route
     /// through `par_map_indexed` so ordering and determinism stay centralised.
     RawSpawn,
-    /// Bare `fs::write` in library code outside the crash-safe store
-    /// (`crates/core/src/store.rs`). A plain truncating write torn by a
-    /// crash destroys the artifact; repository/result persistence must go
-    /// through `ModelStore` (temp + fsync + atomic rename).
-    RawFsWrite,
     /// Semantic: iterating a binding the syntax layer resolves to a
     /// `HashMap`/`HashSet` into ordered output without an intervening
     /// sort. Arbitrary iteration order is the classic silent threat to
@@ -50,7 +45,9 @@ pub enum RuleKind {
     BudgetBlindLoop,
     /// Semantic: filesystem mutation (`fs::write`/`rename`/…,
     /// `File::create`, writable `OpenOptions`) in library code outside
-    /// `store.rs` — the scope-aware upgrade of `raw-fs-write`.
+    /// `store.rs`. A plain truncating write torn by a crash destroys the
+    /// artifact; repository/result persistence must go through
+    /// `ModelStore` (temp + fsync + atomic rename).
     UnsyncedStoreWrite,
     /// Semantic: `Vec`/`VecDeque` growth (`push`/`push_back`/`extend`)
     /// inside a loop in `sherlockd` library code with no capacity check on
@@ -95,13 +92,12 @@ pub enum RuleKind {
 impl RuleKind {
     /// All rules, in reporting order (token rules, then semantic rules,
     /// then flow rules).
-    pub const ALL: [RuleKind; 17] = [
+    pub const ALL: [RuleKind; 16] = [
         RuleKind::PanicPath,
         RuleKind::NanUnsafe,
         RuleKind::UnseededRng,
         RuleKind::DenyHeader,
         RuleKind::RawSpawn,
-        RuleKind::RawFsWrite,
         RuleKind::NondetIteration,
         RuleKind::RawPanicHook,
         RuleKind::BudgetBlindLoop,
@@ -123,7 +119,6 @@ impl RuleKind {
             RuleKind::UnseededRng => "unseeded-rng",
             RuleKind::DenyHeader => "deny-header",
             RuleKind::RawSpawn => "raw-spawn",
-            RuleKind::RawFsWrite => "raw-fs-write",
             RuleKind::NondetIteration => "nondeterministic-iteration",
             RuleKind::RawPanicHook => "raw-panic-hook",
             RuleKind::BudgetBlindLoop => "budget-blind-loop",
@@ -148,7 +143,6 @@ impl RuleKind {
             RuleKind::UnseededRng => "entropy-seeded RNG construction breaks reproducibility",
             RuleKind::DenyHeader => "crate root missing the clippy panic-policy deny header",
             RuleKind::RawSpawn => "bare thread::spawn/scope outside the execution layer",
-            RuleKind::RawFsWrite => "bare fs::write outside the crash-safe store",
             RuleKind::NondetIteration => {
                 "HashMap/HashSet iteration feeding ordered output without a sort"
             }
@@ -551,22 +545,6 @@ pub fn scan_source_indexed(
                                 "bare `thread::{name}` outside the execution layer; \
                                  route work through dbsherlock_core::par_map_indexed"
                             ),
-                        );
-                    }
-                    "write"
-                        if class == FileClass::Lib
-                            && !in_test
-                            && matches!(prev_kind, Some(Tok::Op("::")))
-                            && i >= 2
-                            && ident(i - 2) == Some("fs") =>
-                    {
-                        emit(
-                            RuleKind::RawFsWrite,
-                            tok.line,
-                            "bare `fs::write` outside the store module; a crash mid-write \
-                             tears the artifact — persist through \
-                             dbsherlock_core::store::ModelStore"
-                                .to_string(),
                         );
                     }
                     rng if ENTROPY_RNGS.contains(&rng) => {
@@ -1002,35 +980,6 @@ pub fn more_lib(v: &[u8]) -> u8 { v[1] }
         let allowed =
             "fn f() { std::thread::scope(|s| ()) } // sherlock-lint: allow(raw-spawn): exec layer";
         assert!(rules_of(allowed, FileClass::Lib).is_empty());
-    }
-
-    #[test]
-    fn raw_fs_write_patterns() {
-        // Scope to the token rule: the semantic `unsynced-store-write`
-        // upgrade fires on these sites too and has its own tests.
-        let only = |src: &str, class| {
-            scan_source("test.rs", src, class, &[RuleKind::RawFsWrite])
-                .into_iter()
-                .map(|f| (f.rule, f.line))
-                .collect::<Vec<_>>()
-        };
-        let qualified = "fn f() { std::fs::write(path, body); }";
-        assert_eq!(only(qualified, FileClass::Lib), vec![(RuleKind::RawFsWrite, 1)]);
-        let bare = "fn f() { fs::write(path, body); }";
-        assert_eq!(only(bare, FileClass::Lib), vec![(RuleKind::RawFsWrite, 1)]);
-        // Bin/bench/test code may write freely; so do other fs calls and
-        // writer *methods*.
-        assert!(only(qualified, FileClass::Other).is_empty());
-        for src in [
-            "fn f() { fs::read(path); fs::rename(a, b); }",
-            "fn f() { file.write(buf); w.write_all(buf); }",
-            "#[cfg(test)]\nmod t { fn f() { std::fs::write(p, b); } }",
-        ] {
-            assert!(only(src, FileClass::Lib).is_empty(), "{src}");
-        }
-        let allowed =
-            "fn f() { fs::write(p, b) } // sherlock-lint: allow(raw-fs-write): store internals";
-        assert!(only(allowed, FileClass::Lib).is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the process dies mid-operation; the crash-safe
 //! `dbsherlock_core::store::ModelStore` is the only sanctioned writer.
 
-use std::fs::{File, OpenOptions};
+use std::fs::{self, File, OpenOptions};
 
 pub fn mutates_by_hand(p: &Path, q: &Path) {
     let _ = std::fs::rename(p, q); // REAL
@@ -11,10 +11,22 @@ pub fn mutates_by_hand(p: &Path, q: &Path) {
     let _ = OpenOptions::new().append(true).open(p); // REAL
 }
 
+pub fn persists_by_hand(path: &str, body: &str) {
+    let _ = std::fs::write(path, body); // REAL
+    let _ = fs::write(path, body); // REAL
+}
+
 pub fn reads_are_fine(p: &Path) {
     let _ = std::fs::read_to_string(p);
     let _ = File::open(p);
     let _ = OpenOptions::new().read(true).open(p);
+}
+
+pub fn writer_methods_are_fine(buf: &[u8]) -> std::io::Result<()> {
+    let mut sink: Vec<u8> = Vec::new();
+    use std::io::Write;
+    sink.write(buf)?;
+    sink.write_all(buf)
 }
 
 pub fn sanctioned_site(p: &Path) {

@@ -113,7 +113,7 @@ pub enum Response {
         /// The caught panic/failure, one line.
         reason: String,
     },
-    /// Daemon counters (see [`crate::daemon::StatsSnapshot`]).
+    /// Daemon counters (see [`crate::daemon::DaemonStats`]).
     Stats(String),
     /// Session closing.
     Bye,

@@ -105,7 +105,7 @@ impl AnomalyKind {
     /// Whether the experiment corpus varies the anomaly's *duration*
     /// (controllable stress) or its *start time* (jobs whose duration the
     /// operator cannot control, e.g. mysqldump — paper §8.2).
-    pub fn duration_controllable(self) -> bool {
+    pub(crate) fn duration_controllable(self) -> bool {
         !matches!(
             self,
             AnomalyKind::DatabaseBackup | AnomalyKind::TableRestore | AnomalyKind::FlushLogTable
@@ -133,7 +133,7 @@ impl Injection {
     }
 
     /// Is `tick` inside this injection's window?
-    pub fn active_at(&self, tick: usize) -> bool {
+    pub(crate) fn active_at(&self, tick: usize) -> bool {
         tick >= self.start && tick < self.start + self.duration
     }
 }
@@ -213,7 +213,13 @@ impl Perturbation {
     /// Fold `injection`'s effect for `tick` into this perturbation.
     /// `base_mix` is consulted for mix overrides; `pool_pages` sizes flush
     /// storms.
-    pub fn apply(&mut self, injection: &Injection, tick: usize, base_mix: &Mix, pool_pages: f64) {
+    pub(crate) fn apply(
+        &mut self,
+        injection: &Injection,
+        tick: usize,
+        base_mix: &Mix,
+        pool_pages: f64,
+    ) {
         if !injection.active_at(tick) {
             return;
         }

@@ -41,7 +41,7 @@ pub struct PoolTick {
 impl BufferPool {
     /// Create a pool of `pool_mb` megabytes with `page_kb` pages, caching a
     /// working set of `data_mb` megabytes.
-    pub fn new(pool_mb: f64, page_kb: f64, data_mb: f64) -> Self {
+    pub(crate) fn new(pool_mb: f64, page_kb: f64, data_mb: f64) -> Self {
         let total_pages = (pool_mb * 1024.0 / page_kb).max(1.0);
         // Residency saturates as the pool approaches the data size. The 3x
         // factor models access locality: a pool 1/3 the data size already
@@ -61,7 +61,7 @@ impl BufferPool {
     /// OLTP access is highly skewed, so even a pool far smaller than the
     /// data keeps the hot set resident: the base miss rate is a few
     /// percent, shrinking linearly as residency grows.
-    pub fn hit_ratio(&self) -> f64 {
+    pub(crate) fn hit_ratio(&self) -> f64 {
         (1.0 - 0.06 * (1.0 - self.resident_fraction)).min(0.998)
     }
 
@@ -69,7 +69,12 @@ impl BufferPool {
     /// `pages_dirtied` pages are written. `forced_flush` demands an
     /// immediate checkpoint of that many pages on top of background
     /// flushing (used by the Flush Log/Table anomaly and log rotation).
-    pub fn tick(&mut self, logical_reads: f64, pages_dirtied: f64, forced_flush: f64) -> PoolTick {
+    pub(crate) fn tick(
+        &mut self,
+        logical_reads: f64,
+        pages_dirtied: f64,
+        forced_flush: f64,
+    ) -> PoolTick {
         let hit_ratio = self.hit_ratio();
         let physical_reads = logical_reads * (1.0 - hit_ratio);
         self.dirty_pages = (self.dirty_pages + pages_dirtied).min(self.total_pages);

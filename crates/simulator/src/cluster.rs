@@ -82,7 +82,7 @@ impl ClusterConfig {
     /// Validate the shape, rejecting configurations that a silent clamp
     /// would mask (mirrors the CLI's `parse_region` contract: bad input is
     /// a typed error, not a guess).
-    pub fn validate(&self) -> Result<(), SherlockError> {
+    pub(crate) fn validate(&self) -> Result<(), SherlockError> {
         if self.n_nodes == 0 {
             return Err(SherlockError::InvalidParam {
                 name: "n_nodes",
@@ -162,31 +162,10 @@ impl ClusterAnomalyKind {
         }
     }
 
-    /// What the injection does to the latent cluster state.
-    pub fn description(self) -> &'static str {
-        match self {
-            ClusterAnomalyKind::ReplicationLag => {
-                "one replica's apply rate is throttled; its lag integrates upward"
-            }
-            ClusterAnomalyKind::LeaderFailover => {
-                "the leader fails and restarts; leadership moves and stays moved"
-            }
-            ClusterAnomalyKind::NetworkPartition => {
-                "the last node is severed: client RTT spikes, bandwidth collapses"
-            }
-            ClusterAnomalyKind::LockConvoy => {
-                "every node's accesses converge on remotely-held hot rows"
-            }
-            ClusterAnomalyKind::HotShard => {
-                "node 0's shard receives a surge while the others drain"
-            }
-        }
-    }
-
     /// Whether the experiment matrix varies this class's *duration*
     /// (paper §8.2). A failover is an instantaneous event whose aftermath
     /// we record, so its matrix varies the start offset instead.
-    pub fn duration_controllable(self) -> bool {
+    pub(crate) fn duration_controllable(self) -> bool {
         !matches!(self, ClusterAnomalyKind::LeaderFailover)
     }
 }
@@ -223,7 +202,7 @@ impl ClusterInjection {
     }
 
     /// Is `tick` inside the fault window?
-    pub fn active_at(&self, tick: usize) -> bool {
+    pub(crate) fn active_at(&self, tick: usize) -> bool {
         tick >= self.start && tick < self.start + self.duration
     }
 }
@@ -294,7 +273,7 @@ impl ClusterScenario {
     /// length, and the fault windows. Interventional re-runs attribute a
     /// symptom to *one* fault, so overlapping windows are rejected rather
     /// than silently merged the way single-node scenarios union them.
-    pub fn validate(&self) -> Result<(), SherlockError> {
+    pub(crate) fn validate(&self) -> Result<(), SherlockError> {
         self.config.validate()?;
         if self.duration == 0 {
             return Err(SherlockError::InvalidParam {
@@ -345,7 +324,7 @@ impl ClusterScenario {
     }
 
     /// Run with a custom noise model and exec policy.
-    pub fn run_with(
+    pub(crate) fn run_with(
         &self,
         noise: NoiseModel,
         policy: ExecPolicy,
@@ -658,33 +637,9 @@ impl ClusterLabeledDataset {
         )
     }
 
-    /// The window of one anomaly kind, if injected.
-    pub fn region_of(&self, kind: ClusterAnomalyKind) -> Option<Region> {
-        let n = self.data.n_rows();
-        let ranges: Vec<_> = self
-            .injections
-            .iter()
-            .filter(|inj| inj.kind == kind)
-            .map(|inj| inj.start.min(n)..(inj.start + inj.duration).min(n))
-            .collect();
-        if ranges.is_empty() {
-            None
-        } else {
-            Some(Region::from_ranges(ranges))
-        }
-    }
-
     /// Everything not abnormal.
     pub fn normal_region(&self) -> Region {
         self.abnormal_region().complement(self.data.n_rows())
-    }
-
-    /// Distinct anomaly kinds present, in catalog order.
-    pub fn kinds(&self) -> Vec<ClusterAnomalyKind> {
-        let mut kinds: Vec<ClusterAnomalyKind> = self.injections.iter().map(|i| i.kind).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        kinds
     }
 }
 
@@ -794,8 +749,8 @@ mod tests {
         assert!(schema.id_of("cluster.replication_lag_ms").is_some());
         assert!(schema.id_of("cluster.partition_state").is_some());
         assert_eq!(labeled.abnormal_region().intervals(), vec![50..90]);
-        assert_eq!(labeled.kinds(), vec![ClusterAnomalyKind::HotShard]);
-        assert!(labeled.region_of(ClusterAnomalyKind::ReplicationLag).is_none());
+        let kinds: Vec<_> = labeled.injections.iter().map(|inj| inj.kind).collect();
+        assert_eq!(kinds, vec![ClusterAnomalyKind::HotShard]);
     }
 
     #[test]

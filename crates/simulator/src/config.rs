@@ -108,7 +108,7 @@ impl WorkloadConfig {
     }
 
     /// Approximate on-disk data size in MB implied by the scale factor.
-    pub fn data_size_mb(&self) -> f64 {
+    pub(crate) fn data_size_mb(&self) -> f64 {
         match self.benchmark {
             // TPC-C: ~100 MB per warehouse (SF 500 ≈ 50 GB, §8.1).
             Benchmark::TpccLike => self.scale_factor as f64 * 100.0,

@@ -64,7 +64,7 @@ fn entry_seed(corpus_seed: u64, kind: AnomalyKind, variant: usize) -> u64 {
 /// is what makes a causal model learned from a single dataset imperfect
 /// on other instances of the same cause — the regime in which the paper's
 /// model merging (§6.2) pays off.
-pub fn cell_intensity(corpus_seed: u64, kind: AnomalyKind, variant: usize) -> f64 {
+pub(crate) fn cell_intensity(corpus_seed: u64, kind: AnomalyKind, variant: usize) -> f64 {
     // splitmix64-style finalizer: entry_seed only varies in its low bits
     // across cells, so mix before taking high bits.
     let mut h = entry_seed(corpus_seed ^ 0x51DE, kind, variant);
@@ -240,10 +240,10 @@ mod tests {
     fn compound_dataset_has_overlapping_truth() {
         let kinds = [AnomalyKind::WorkloadSpike, AnomalyKind::CpuSaturation];
         let labeled = compound_dataset(Benchmark::TpccLike, &kinds, 3);
-        assert_eq!(labeled.kinds(), kinds);
-        let spike = labeled.region_of(AnomalyKind::WorkloadSpike).unwrap();
-        let cpu = labeled.region_of(AnomalyKind::CpuSaturation).unwrap();
-        assert_eq!(spike, cpu);
+        let injected: Vec<_> = labeled.injections.iter().map(|inj| inj.kind).collect();
+        assert_eq!(injected, kinds);
+        let [spike, cpu] = &labeled.injections[..] else { panic!("two injections") };
+        assert_eq!((spike.start, spike.duration), (cpu.start, cpu.duration));
         assert_eq!(labeled.abnormal_region().len(), 50);
     }
 

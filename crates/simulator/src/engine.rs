@@ -89,12 +89,12 @@ impl Engine {
     }
 
     /// The buffer pool's total page count (used to size flush storms).
-    pub fn pool_pages(&self) -> f64 {
+    pub(crate) fn pool_pages(&self) -> f64 {
         self.pool.total_pages
     }
 
     /// The base transaction mix.
-    pub fn base_mix(&self) -> &Mix {
+    pub(crate) fn base_mix(&self) -> &Mix {
         &self.base_mix
     }
 

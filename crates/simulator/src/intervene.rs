@@ -2,7 +2,7 @@
 //! and hand the re-run to core's intervention engine.
 //!
 //! [`ScenarioRunner`] implements
-//! [`InterventionRunner`](dbsherlock_core::InterventionRunner) by mapping a
+//! [`InterventionRunner`] by mapping a
 //! ranked cause's *name* back to the fault that induces it — a Table 1
 //! [`AnomalyKind`] for single-node incidents, a catalog
 //! [`ClusterAnomalyKind`] for cluster incidents — and running a fresh

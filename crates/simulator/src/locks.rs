@@ -45,7 +45,13 @@ impl LockModel {
     ///   knob; the Lock Contention anomaly raises it towards 1).
     /// * `lock_weight` — the mix's average lock footprint per transaction.
     /// * `throughput` — transactions completing this second.
-    pub fn tick(&self, concurrency: f64, skew: f64, lock_weight: f64, throughput: f64) -> LockTick {
+    pub(crate) fn tick(
+        &self,
+        concurrency: f64,
+        skew: f64,
+        lock_weight: f64,
+        throughput: f64,
+    ) -> LockTick {
         let concurrency = concurrency.max(0.0);
         let skew = skew.clamp(0.0, 1.0);
         // Probability a given pair of in-flight transactions conflicts.
@@ -63,15 +69,6 @@ impl LockModel {
         // Deadlocks are rare even under contention: a small quadratic tail.
         let deadlocks = (pair_conflict * pair_conflict * pairs * 1e-3).min(throughput.max(0.0));
         LockTick { total_wait_ms, lock_waits, current_waits, deadlocks }
-    }
-
-    /// Average per-transaction lock wait in ms, given a tick result.
-    pub fn per_txn_wait_ms(tick: &LockTick, throughput: f64) -> f64 {
-        if throughput <= 0.0 {
-            0.0
-        } else {
-            tick.total_wait_ms / throughput
-        }
     }
 }
 
@@ -110,13 +107,6 @@ mod tests {
         let m = LockModel::default();
         let t = m.tick(64.0, 0.5, 0.0, 500.0);
         assert_eq!(t.total_wait_ms, 0.0);
-    }
-
-    #[test]
-    fn per_txn_wait_handles_zero_throughput() {
-        let t = LockTick { total_wait_ms: 100.0, ..Default::default() };
-        assert_eq!(LockModel::per_txn_wait_ms(&t, 0.0), 0.0);
-        assert_eq!(LockModel::per_txn_wait_ms(&t, 50.0), 2.0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ macro_rules! numeric_metrics {
             pub const NAMES: &'static [&'static str] = &[$($name),*];
 
             /// Values in schema order (parallel to [`Self::NAMES`]).
-            pub fn values(&self) -> Vec<f64> {
+            pub(crate) fn values(&self) -> Vec<f64> {
                 vec![$(self.$field),*]
             }
         }
@@ -233,7 +233,7 @@ impl Default for CategoricalMetrics {
 
 impl CategoricalMetrics {
     /// Labels in schema order (parallel to [`CATEGORICAL_NAMES`]).
-    pub fn labels(&self) -> [&'static str; 4] {
+    pub(crate) fn labels(&self) -> [&'static str; 4] {
         [
             self.config_flush_method,
             self.config_io_scheduler,

@@ -13,7 +13,7 @@
 use rand::Rng;
 
 /// Draw one standard-normal sample via Box–Muller.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by keeping u1 in (0, 1].
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random::<f64>();
@@ -57,7 +57,7 @@ impl NoiseModel {
     }
 
     /// Apply noise to a non-negative metric, clamping at zero.
-    pub fn apply<R: Rng + ?Sized>(&self, rng: &mut R, value: f64) -> f64 {
+    pub(crate) fn apply<R: Rng + ?Sized>(&self, rng: &mut R, value: f64) -> f64 {
         let mut scaled = value * (1.0 + self.relative * standard_normal(rng));
         if self.spike_prob > 0.0 && rng.random::<f64>() < self.spike_prob {
             scaled *= 1.0 + self.spike_scale * rng.random::<f64>();
@@ -68,7 +68,7 @@ impl NoiseModel {
 
     /// Apply noise and clamp the result into `[0, cap]` (for percentages
     /// and utilizations).
-    pub fn apply_capped<R: Rng + ?Sized>(&self, rng: &mut R, value: f64, cap: f64) -> f64 {
+    pub(crate) fn apply_capped<R: Rng + ?Sized>(&self, rng: &mut R, value: f64, cap: f64) -> f64 {
         self.apply(rng, value).min(cap)
     }
 }

@@ -33,14 +33,14 @@ pub struct RedoLog {
 
 impl RedoLog {
     /// New log of `capacity_mb` megabytes.
-    pub fn new(capacity_mb: f64, adaptive_flushing: bool) -> Self {
+    pub(crate) fn new(capacity_mb: f64, adaptive_flushing: bool) -> Self {
         RedoLog { capacity_mb: capacity_mb.max(1.0), used_mb: 0.0, adaptive_flushing }
     }
 
     /// Advance one second: `written_kb` of log records arrive;
     /// `dirty_pages` is the buffer pool's current dirty count, used to size
     /// a rotation's forced checkpoint.
-    pub fn tick(&mut self, written_kb: f64, dirty_pages: f64) -> RedoTick {
+    pub(crate) fn tick(&mut self, written_kb: f64, dirty_pages: f64) -> RedoTick {
         self.used_mb += written_kb.max(0.0) / 1024.0;
         let mut rotations = 0.0;
         let mut forced_flush_pages = 0.0;

@@ -9,7 +9,7 @@
 
 /// Utilization of a resource given offered demand and capacity, uncapped
 /// (values above 1 mean the resource is oversubscribed).
-pub fn offered_utilization(demand: f64, capacity: f64) -> f64 {
+pub(crate) fn offered_utilization(demand: f64, capacity: f64) -> f64 {
     if capacity <= 0.0 {
         return if demand > 0.0 { f64::INFINITY } else { 0.0 };
     }
@@ -23,7 +23,7 @@ pub fn offered_utilization(demand: f64, capacity: f64) -> f64 {
 /// `W/S = ρ^(√(2(c+1)))/(c(1-ρ))`, smooth and well-behaved for the
 /// moderate utilizations the simulator lives at, and clamped near
 /// saturation so latency stays finite.
-pub fn wait_factor(rho: f64, servers: f64) -> f64 {
+pub(crate) fn wait_factor(rho: f64, servers: f64) -> f64 {
     const MAX_FACTOR: f64 = 250.0;
     if rho <= 0.0 {
         return 1.0;
@@ -35,17 +35,6 @@ pub fn wait_factor(rho: f64, servers: f64) -> f64 {
     let exponent = (2.0 * (servers + 1.0)).sqrt();
     let factor = 1.0 + rho.powf(exponent) / (servers * (1.0 - rho));
     factor.min(MAX_FACTOR)
-}
-
-/// Split offered demand into admitted throughput and backlog growth when a
-/// resource saturates. Returns `(admitted, dropped)` where
-/// `admitted <= capacity`.
-pub fn clamp_throughput(demand: f64, capacity: f64) -> (f64, f64) {
-    if demand <= capacity {
-        (demand.max(0.0), 0.0)
-    } else {
-        (capacity.max(0.0), demand - capacity)
-    }
 }
 
 #[cfg(test)]
@@ -84,12 +73,5 @@ mod tests {
         let one = wait_factor(0.8, 1.0);
         let four = wait_factor(0.8, 4.0);
         assert!(four < one);
-    }
-
-    #[test]
-    fn clamp_splits_overload() {
-        assert_eq!(clamp_throughput(80.0, 100.0), (80.0, 0.0));
-        assert_eq!(clamp_throughput(130.0, 100.0), (100.0, 30.0));
-        assert_eq!(clamp_throughput(-1.0, 100.0), (0.0, 0.0));
     }
 }

@@ -11,7 +11,7 @@ use dbsherlock_telemetry::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::anomaly::{AnomalyKind, Injection, Perturbation};
+use crate::anomaly::{Injection, Perturbation};
 use crate::config::{ServerConfig, WorkloadConfig};
 use crate::engine::Engine;
 use crate::metrics::metrics_schema;
@@ -115,33 +115,9 @@ impl LabeledDataset {
         )
     }
 
-    /// The window of one anomaly kind, if injected.
-    pub fn region_of(&self, kind: AnomalyKind) -> Option<Region> {
-        let n = self.data.n_rows();
-        let ranges: Vec<_> = self
-            .injections
-            .iter()
-            .filter(|inj| inj.kind == kind)
-            .map(|inj| inj.start.min(n)..(inj.start + inj.duration).min(n))
-            .collect();
-        if ranges.is_empty() {
-            None
-        } else {
-            Some(Region::from_ranges(ranges))
-        }
-    }
-
     /// Everything not abnormal (the implicit normal region, §2.2).
     pub fn normal_region(&self) -> Region {
         self.abnormal_region().complement(self.data.n_rows())
-    }
-
-    /// Distinct anomaly kinds present, in Table 1 order.
-    pub fn kinds(&self) -> Vec<AnomalyKind> {
-        let mut kinds: Vec<AnomalyKind> = self.injections.iter().map(|i| i.kind).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        kinds
     }
 
     /// Run this dataset's telemetry through a fault plan and the lossy
@@ -191,16 +167,12 @@ impl CorruptedDataset {
         }
         region
     }
-
-    /// Everything not abnormal.
-    pub fn normal_region(&self) -> Region {
-        self.abnormal_region().complement(self.data.n_rows())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::anomaly::AnomalyKind;
 
     fn spike_scenario() -> Scenario {
         Scenario::new(WorkloadConfig::tpcc_default(), 150, 11).with_injection(Injection::new(
@@ -227,14 +199,6 @@ mod tests {
         assert_eq!(abnormal.intervals(), vec![60..100]);
         assert_eq!(abnormal.len() + normal.len(), 150);
         assert!(abnormal.intersect(&normal).is_empty());
-    }
-
-    #[test]
-    fn region_of_filters_by_kind() {
-        let labeled = spike_scenario().run();
-        assert!(labeled.region_of(AnomalyKind::WorkloadSpike).is_some());
-        assert!(labeled.region_of(AnomalyKind::CpuSaturation).is_none());
-        assert_eq!(labeled.kinds(), vec![AnomalyKind::WorkloadSpike]);
     }
 
     #[test]

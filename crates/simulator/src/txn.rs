@@ -60,7 +60,7 @@ pub struct Mix {
 
 impl Mix {
     /// The standard mix for a benchmark.
-    pub fn for_benchmark(benchmark: Benchmark) -> Mix {
+    pub(crate) fn for_benchmark(benchmark: Benchmark) -> Mix {
         match benchmark {
             Benchmark::TpccLike => tpcc_mix(),
             Benchmark::TpceLike => tpce_mix(),
@@ -68,27 +68,13 @@ impl Mix {
     }
 
     /// Weighted average of a per-class quantity.
-    pub fn average(&self, f: impl Fn(&TxnClass) -> f64) -> f64 {
+    pub(crate) fn average(&self, f: impl Fn(&TxnClass) -> f64) -> f64 {
         self.classes.iter().zip(&self.weights).map(|(c, w)| f(c) * w).sum()
-    }
-
-    /// Fraction of executed statements that are reads.
-    pub fn read_fraction(&self) -> f64 {
-        let reads = self.average(|c| c.statements.selects);
-        let writes =
-            self.average(|c| c.statements.updates + c.statements.inserts + c.statements.deletes);
-        // `> 0.0` instead of `== 0.0`: guards the 0/0 case and maps a NaN
-        // statement average to 0.0 rather than propagating it.
-        if reads + writes > 0.0 {
-            reads / (reads + writes)
-        } else {
-            0.0
-        }
     }
 
     /// Replace the mix with a single-class mix (used by the Lock Contention
     /// anomaly, which switches to NewOrder-only on one warehouse, §8.2).
-    pub fn single_class(&self, name: &str) -> Option<Mix> {
+    pub(crate) fn single_class(&self, name: &str) -> Option<Mix> {
         let class = self.classes.iter().find(|c| c.name == name)?.clone();
         Some(Mix { classes: vec![class], weights: vec![1.0] })
     }
@@ -250,8 +236,15 @@ mod tests {
 
     #[test]
     fn tpce_is_more_read_intensive_than_tpcc() {
-        let tpcc = Mix::for_benchmark(Benchmark::TpccLike).read_fraction();
-        let tpce = Mix::for_benchmark(Benchmark::TpceLike).read_fraction();
+        // Share of SELECTs among all statements.
+        let read_fraction = |benchmark| {
+            let mix = Mix::for_benchmark(benchmark);
+            let reads = mix.average(|c| c.statements.selects);
+            let writes =
+                mix.average(|c| c.statements.updates + c.statements.inserts + c.statements.deletes);
+            reads / (reads + writes)
+        };
+        let (tpcc, tpce) = (read_fraction(Benchmark::TpccLike), read_fraction(Benchmark::TpceLike));
         assert!(tpce > tpcc + 0.2, "tpce {tpce} vs tpcc {tpcc}");
         assert!(tpce > 0.70);
     }

@@ -32,7 +32,7 @@ impl AttributeKind {
     }
 
     /// Parse a CSV-header tag back into a kind.
-    pub fn from_tag(tag: &str) -> Option<Self> {
+    pub(crate) fn from_tag(tag: &str) -> Option<Self> {
         match tag {
             "num" => Some(AttributeKind::Numeric),
             "cat" => Some(AttributeKind::Categorical),
@@ -66,7 +66,7 @@ impl AttributeMeta {
     /// Multi-source telemetry (one metric stream per cluster node) merges
     /// into a single aligned-tuple schema by namespacing each source:
     /// `os_cpu_usage` on node 2 becomes `node2.os_cpu_usage`.
-    pub fn namespaced(&self, prefix: &str) -> Self {
+    pub(crate) fn namespaced(&self, prefix: &str) -> Self {
         AttributeMeta { name: format!("{prefix}.{}", self.name), kind: self.kind }
     }
 }
@@ -128,7 +128,7 @@ impl Schema {
 
     /// [`attr`](Self::attr) for callers that must stay panic-free on an
     /// out-of-range id (daemon ingest, row append).
-    pub fn get(&self, id: usize) -> Option<&AttributeMeta> {
+    pub(crate) fn get(&self, id: usize) -> Option<&AttributeMeta> {
         self.attrs.get(id)
     }
 
@@ -138,7 +138,7 @@ impl Schema {
     }
 
     /// Positional id for a name, with a descriptive error otherwise.
-    pub fn require(&self, name: &str) -> Result<usize> {
+    pub(crate) fn require(&self, name: &str) -> Result<usize> {
         self.id_of(name).ok_or_else(|| TelemetryError::UnknownAttribute(name.to_string()))
     }
 
@@ -153,7 +153,7 @@ impl Schema {
     }
 
     /// Append every attribute of `other` under a `prefix.` namespace (see
-    /// [`AttributeMeta::namespaced`]), returning the id of the first one.
+    /// `AttributeMeta::namespaced`), returning the id of the first one.
     ///
     /// Errors on duplicate names, which with distinct prefixes can only
     /// happen if the same prefix is pushed twice.
@@ -163,12 +163,6 @@ impl Schema {
             self.push(attr.namespaced(prefix))?;
         }
         Ok(first)
-    }
-
-    /// Rebuild the name index (needed after deserializing, since the map is
-    /// skipped by serde).
-    pub fn rebuild_index(&mut self) {
-        self.index = self.attrs.iter().enumerate().map(|(i, a)| (a.name.clone(), i)).collect();
     }
 
     /// Structural equality on the attribute list (names + kinds, in order).
@@ -256,9 +250,8 @@ mod tests {
 
     #[test]
     fn same_layout_ignores_index_state() {
-        let mut a = Schema::from_attrs([AttributeMeta::numeric("x")]).unwrap();
-        let b = Schema::from_attrs([AttributeMeta::numeric("x")]).unwrap();
-        a.rebuild_index();
+        let a = Schema::from_attrs([AttributeMeta::numeric("x")]).unwrap();
+        let b = Schema { attrs: a.attrs.clone(), index: HashMap::new() };
         assert_eq!(a, b);
     }
 }

@@ -23,19 +23,6 @@ pub enum Column {
 }
 
 impl Column {
-    /// Number of stored values (equals the dataset's row count).
-    pub fn len(&self) -> usize {
-        match self {
-            Column::Numeric(v) => v.len(),
-            Column::Categorical { ids, .. } => ids.len(),
-        }
-    }
-
-    /// True when no values are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn push(&mut self, value: Value, attr: &AttributeMeta) -> Result<()> {
         match (self, value) {
             (Column::Numeric(v), Value::Num(x)) => {
@@ -93,11 +80,6 @@ impl Dataset {
     /// Number of rows (`X` in the paper's complexity analysis, §4.6).
     pub fn n_rows(&self) -> usize {
         self.timestamps.len()
-    }
-
-    /// True when no rows have been appended.
-    pub fn is_empty(&self) -> bool {
-        self.timestamps.is_empty()
     }
 
     /// Per-row interval start times, in seconds.
@@ -208,7 +190,7 @@ impl Dataset {
     /// Returns an error for categorical attributes and for columns without
     /// a single finite value; the partition space of an attribute (paper
     /// §4.1) spans exactly this range. The fold is
-    /// [`NumericView::finite_range`], shared with the snapshot cache.
+    /// `NumericView::finite_range`, shared with the snapshot cache.
     pub fn numeric_range(&self, attr_id: usize) -> Result<(f64, f64)> {
         let col = self.numeric(attr_id).ok_or_else(|| TelemetryError::KindMismatch {
             attribute: self.schema.attr(attr_id).name.clone(),
@@ -257,23 +239,6 @@ impl Dataset {
             out.push_row(self.timestamps[row], &values)?;
         }
         Ok(out)
-    }
-
-    /// Append all rows of `other`; schemas must have identical layout.
-    ///
-    /// Categorical values are re-interned by label so the two datasets need
-    /// not share dictionary id assignments.
-    pub fn extend_from(&mut self, other: &Dataset) -> Result<()> {
-        if !self.schema.same_layout(&other.schema) {
-            return Err(TelemetryError::SchemaMismatch(
-                "extend_from requires identical attribute layout".into(),
-            ));
-        }
-        for row in 0..other.n_rows() {
-            let values = self.values_from(other, row, true)?;
-            self.push_row(other.timestamps[row], &values)?;
-        }
-        Ok(())
     }
 
     /// Row `row` of `src` (same attribute layout) as values ready for this
@@ -390,7 +355,8 @@ mod tests {
         // In `b`, "backup" gets id 0 — must map to a fresh id in `a`.
         let backup = b.intern(1, "backup").unwrap();
         b.push_row(9.0, &[Value::Num(1.0), backup]).unwrap();
-        a.extend_from(&b).unwrap();
+        let values = a.values_from(&b, 0, true).unwrap();
+        a.push_row(9.0, &values).unwrap();
         assert_eq!(a.n_rows(), 4);
         let (ids, dict) = a.categorical(1).unwrap();
         assert_eq!(dict.label(ids[3]).unwrap(), "backup");

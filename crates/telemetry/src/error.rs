@@ -135,21 +135,6 @@ pub enum IngestWarning {
     },
 }
 
-impl IngestWarning {
-    /// 1-based line number the warning refers to, if any.
-    pub fn line(&self) -> Option<usize> {
-        match self {
-            IngestWarning::SkippedRow { line, .. }
-            | IngestWarning::RepairedCell { line, .. }
-            | IngestWarning::ArityRepair { line, .. }
-            | IngestWarning::TruncatedInput { line }
-            | IngestWarning::NonFiniteCell { line, .. }
-            | IngestWarning::NonMonotonicTimestamp { line, .. } => Some(*line),
-            IngestWarning::HeaderDrift { .. } => None,
-        }
-    }
-}
-
 impl fmt::Display for IngestWarning {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

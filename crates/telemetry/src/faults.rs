@@ -117,7 +117,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// An empty plan with the given seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         FaultPlan { seed, specs: Vec::new() }
     }
 
@@ -127,19 +127,9 @@ impl FaultPlan {
     }
 
     /// Add a fault to the plan (builder style).
-    pub fn with(mut self, kind: FaultKind, intensity: f64) -> Self {
+    pub(crate) fn with(mut self, kind: FaultKind, intensity: f64) -> Self {
         self.specs.push(FaultSpec { kind, intensity: intensity.clamp(0.0, 1.0) });
         self
-    }
-
-    /// The seed this plan draws its randomness from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The faults in application order.
-    pub fn specs(&self) -> &[FaultSpec] {
-        &self.specs
     }
 
     /// Apply the plan to raw CSV text, returning the corrupted text and a

@@ -105,13 +105,6 @@ impl Region {
         Region { indices: out }
     }
 
-    /// Rows in `self` but not in `other`.
-    pub fn difference(&self, other: &Region) -> Region {
-        Region {
-            indices: self.indices.iter().copied().filter(|row| !other.contains(*row)).collect(),
-        }
-    }
-
     /// Intersection-over-union overlap score in `[0, 1]`.
     ///
     /// Used to judge automatically detected regions against ground truth
@@ -221,7 +214,6 @@ mod tests {
         let b = Region::from_indices([3, 4]);
         assert_eq!(a.union(&b).indices(), &[1, 2, 3, 4]);
         assert_eq!(a.intersect(&b).indices(), &[3]);
-        assert_eq!(a.difference(&b).indices(), &[1, 2]);
         assert!((a.iou(&b) - 0.25).abs() < 1e-12);
         assert_eq!(Region::new().iou(&Region::new()), 0.0);
     }

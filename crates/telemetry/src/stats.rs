@@ -13,20 +13,6 @@ pub fn mean(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Population variance; `0.0` for slices shorter than two elements.
-pub fn variance(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
-}
-
-/// Population standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
-    variance(values).sqrt()
-}
-
 /// Median via partial sort of a scratch copy; `0.0` for an empty slice.
 /// Even-length inputs return the mean of the two middle elements.
 pub fn median(values: &[f64]) -> f64 {
@@ -185,7 +171,7 @@ pub fn joint_histogram(a: &[usize], b: &[usize], bins_a: usize, bins_b: usize) -
 
 /// Mutual information `MI(A, B) = H(A) + H(B) - H(A, B)` (nats) from a joint
 /// count table (paper §5).
-pub fn mutual_information(joint: &[Vec<usize>]) -> f64 {
+pub(crate) fn mutual_information(joint: &[Vec<usize>]) -> f64 {
     let marg_a: Vec<usize> = joint.iter().map(|row| row.iter().sum()).collect();
     let bins_b = joint.first().map_or(0, Vec::len);
     let marg_b: Vec<usize> = (0..bins_b).map(|j| joint.iter().map(|row| row[j]).sum()).collect();
@@ -218,9 +204,6 @@ mod tests {
     fn mean_variance_basics() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(variance(&[5.0]), 0.0);
-        assert!((variance(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
-        assert!((std_dev(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

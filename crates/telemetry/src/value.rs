@@ -22,14 +22,6 @@ impl Value {
             Value::Cat(_) => None,
         }
     }
-
-    /// The categorical id, if this is a categorical value.
-    pub fn as_cat(self) -> Option<u32> {
-        match self {
-            Value::Num(_) => None,
-            Value::Cat(c) => Some(c),
-        }
-    }
 }
 
 impl From<f64> for Value {
@@ -50,12 +42,12 @@ pub struct Dictionary {
 
 impl Dictionary {
     /// Empty dictionary.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Dictionary::default()
     }
 
     /// Intern `label`, returning its stable id.
-    pub fn intern(&mut self, label: &str) -> u32 {
+    pub(crate) fn intern(&mut self, label: &str) -> u32 {
         if let Some(id) = self.id_of(label) {
             return id;
         }
@@ -64,7 +56,7 @@ impl Dictionary {
     }
 
     /// Id of an already-interned label.
-    pub fn id_of(&self, label: &str) -> Option<u32> {
+    pub(crate) fn id_of(&self, label: &str) -> Option<u32> {
         self.labels.iter().position(|l| l == label).map(|i| i as u32)
     }
 
@@ -96,8 +88,6 @@ mod tests {
     #[test]
     fn value_accessors() {
         assert_eq!(Value::Num(1.5).as_num(), Some(1.5));
-        assert_eq!(Value::Num(1.5).as_cat(), None);
-        assert_eq!(Value::Cat(3).as_cat(), Some(3));
         assert_eq!(Value::Cat(3).as_num(), None);
         assert_eq!(Value::from(2.0), Value::Num(2.0));
     }

@@ -1,7 +1,7 @@
 //! Typed, borrow-checked column views for the columnar diagnosis path.
 //!
 //! The paper's predicate-generation algorithm (§4) is one-attribute-at-a-
-//! time, and [`Dataset`](crate::Dataset) already stores columns — these
+//! time, and [`Dataset`] already stores columns — these
 //! views close the gap by handing kernels an attribute-contiguous slice
 //! (plus the dictionary for categorical attributes) so the hot loops run
 //! branch-light over `&[f64]` / `&[u32]` instead of paying a `Value` enum
@@ -28,23 +28,13 @@ impl<'a> NumericView<'a> {
         self.0
     }
 
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when the column holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// `(min, max)` over the finite values, `None` when no value is finite.
     ///
     /// This is the single source of truth for the fold behind
     /// [`Dataset::numeric_range`] and the snapshot's range cache — the
     /// iteration order and `f64::min`/`f64::max` reduction are part of the
     /// bit-identity contract of the diagnosis pipeline.
-    pub fn finite_range(&self) -> Option<(f64, f64)> {
+    pub(crate) fn finite_range(&self) -> Option<(f64, f64)> {
         let mut it = self.0.iter().copied().filter(|v| v.is_finite());
         let first = it.next()?;
         let (mut lo, mut hi) = (first, first);
@@ -66,18 +56,6 @@ pub struct CategoricalView<'a> {
     pub dict: &'a Dictionary,
 }
 
-impl CategoricalView<'_> {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True when the column holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-}
-
 /// Borrowed view of one column of either kind — what
 /// [`Dataset::column`] returns and what kind-polymorphic kernels
 /// (labeling, predicate masks) match on **once per column** instead of
@@ -91,19 +69,6 @@ pub enum ColumnView<'a> {
 }
 
 impl<'a> ColumnView<'a> {
-    /// Number of rows in the column.
-    pub fn len(&self) -> usize {
-        match self {
-            ColumnView::Numeric(v) => v.len(),
-            ColumnView::Categorical(c) => c.len(),
-        }
-    }
-
-    /// True when the column holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The numeric slice, if this is a numeric column.
     pub fn numeric(&self) -> Option<&'a [f64]> {
         match self {
@@ -146,7 +111,7 @@ impl<'a> ColumnView<'a> {
 /// `numeric_range` is memoized per attribute via [`OnceLock`]: the first
 /// caller pays the min/max scan, later callers (partition-space build,
 /// normalized mean difference, anchor averaging) reuse the result. The
-/// fold is [`NumericView::finite_range`], so cached and uncached paths
+/// fold is `NumericView::finite_range`, so cached and uncached paths
 /// are bit-identical; concurrent initialization races are benign because
 /// every thread computes the same value.
 #[derive(Debug)]
@@ -159,7 +124,7 @@ pub struct ColumnarSnapshot<'a> {
 impl<'a> ColumnarSnapshot<'a> {
     /// Pin all column views of `dataset`. Cheap: no column is scanned
     /// until its range is first requested.
-    pub fn new(dataset: &'a Dataset) -> Self {
+    pub(crate) fn new(dataset: &'a Dataset) -> Self {
         let columns: Vec<ColumnView<'a>> =
             dataset.columns_internal().iter().map(ColumnView::of).collect();
         let ranges = columns.iter().map(|_| OnceLock::new()).collect();
@@ -181,11 +146,6 @@ impl<'a> ColumnarSnapshot<'a> {
         self.dataset.n_rows()
     }
 
-    /// Per-row interval start times, in seconds.
-    pub fn timestamps(&self) -> &'a [f64] {
-        self.dataset.timestamps()
-    }
-
     /// View of attribute `attr_id`; an empty numeric view for an
     /// out-of-range id (mirrors [`Dataset::column`]).
     pub fn column(&self, attr_id: usize) -> ColumnView<'a> {
@@ -193,16 +153,6 @@ impl<'a> ColumnarSnapshot<'a> {
             Some(view) => *view,
             None => ColumnView::Numeric(NumericView(&[])),
         }
-    }
-
-    /// Numeric slice of attribute `attr_id`, if it is numeric.
-    pub fn numeric(&self, attr_id: usize) -> Option<&'a [f64]> {
-        self.column(attr_id).numeric()
-    }
-
-    /// `(ids, dictionary)` of attribute `attr_id`, if it is categorical.
-    pub fn categorical(&self, attr_id: usize) -> Option<(&'a [u32], &'a Dictionary)> {
-        self.column(attr_id).categorical()
     }
 
     /// Memoized `(min, max)` over the finite values of a numeric
@@ -241,12 +191,12 @@ mod tests {
         let d = sample();
         let snap = d.snapshot();
         assert_eq!(snap.n_rows(), 3);
-        assert_eq!(snap.numeric(0).unwrap()[0], 10.0);
-        let (ids, dict) = snap.categorical(1).unwrap();
+        assert_eq!(snap.column(0).numeric().unwrap()[0], 10.0);
+        let (ids, dict) = snap.column(1).categorical().unwrap();
         assert_eq!(ids, &[0, 1, 0]);
         assert_eq!(dict.label(1), Some("busy"));
-        assert!(snap.numeric(1).is_none());
-        assert!(snap.categorical(0).is_none());
+        assert!(snap.column(1).numeric().is_none());
+        assert!(snap.column(0).categorical().is_none());
     }
 
     #[test]
@@ -265,7 +215,6 @@ mod tests {
     fn out_of_range_column_is_empty_numeric() {
         let d = sample();
         let snap = d.snapshot();
-        assert!(snap.column(99).is_empty());
         assert_eq!(snap.column(99).numeric(), Some(&[][..]));
     }
 

@@ -2,7 +2,10 @@
 //!
 //! Numeric: a candidate is extracted only when (a) the filled space holds a
 //! *single* block of consecutive `Abnormal` partitions and (b) the
-//! normalized abnormal/normal means differ by more than `θ`. The block's
+//! normalized abnormal/normal means differ by more than `θ`. The means
+//! (Eq. 2) are computed during labeling, in the same pass over each
+//! region (see [`label`](crate::label)); generation applies the `θ` gate
+//! before it calls in here. The block's
 //! position determines the shape: touching the left edge gives `Attr < ub`,
 //! the right edge gives `Attr > lb`, and an interior block gives
 //! `lb < Attr < ub`.
@@ -11,7 +14,7 @@
 //! to an `Attr ∈ {...}` predicate (directly after labeling; no filtering
 //! or gap-filling).
 
-use dbsherlock_telemetry::{stats, Dictionary, Region};
+use dbsherlock_telemetry::Dictionary;
 
 use crate::partition::{PartitionLabel, PartitionSpace};
 use crate::predicate::Predicate;
@@ -36,40 +39,6 @@ pub(crate) fn single_abnormal_block(labels: &[PartitionLabel]) -> Option<std::op
         }
     }
     block
-}
-
-/// Normalized mean difference `d = |µ_A − µ_N|` of a numeric attribute
-/// (paper Eq. 2 + §4.5); `None` when either region contributes no finite
-/// values. A fused normalize-and-sum scan per region over the
-/// attribute-contiguous slice (no intermediate buffers), with `range`
-/// supplied by the caller — the snapshot's memoized `(min, max)` on the
-/// hot path. Summation order is the region's index order, matching the
-/// buffered form bit for bit.
-pub(crate) fn normalized_mean_difference_view(
-    values: &[f64],
-    (min, max): (f64, f64),
-    abnormal: &Region,
-    normal: &Region,
-) -> Option<f64> {
-    let mean_of = |region: &Region| -> Option<f64> {
-        let mut sum = 0.0f64;
-        let mut count = 0usize;
-        for &r in region.indices() {
-            let Some(&v) = values.get(r) else { continue };
-            if v.is_finite() {
-                sum += stats::normalize(v, min, max);
-                count += 1;
-            }
-        }
-        if count == 0 {
-            None
-        } else {
-            Some(sum / count as f64)
-        }
-    };
-    let a = mean_of(abnormal)?;
-    let n = mean_of(normal)?;
-    Some((a - n).abs())
 }
 
 /// Extract the numeric candidate predicate for the given filled labels, or
@@ -120,7 +89,7 @@ pub(crate) fn extract_categorical_view(
 mod tests {
     use super::*;
     use crate::partition::PartitionLabel::{Abnormal as A, Normal as N};
-    use dbsherlock_telemetry::{AttributeMeta, Dataset, Schema, Value};
+    use dbsherlock_telemetry::{AttributeMeta, Dataset, Schema};
 
     fn space_0_100(r: usize) -> PartitionSpace {
         PartitionSpace::Numeric { min: 0.0, max: 100.0, r }
@@ -166,23 +135,6 @@ mod tests {
     fn two_blocks_yield_nothing() {
         let space = space_0_100(5);
         assert_eq!(extract_numeric("x", &space, &[A, N, N, A, A]), None);
-    }
-
-    #[test]
-    fn normalized_difference_detects_shift() {
-        let schema = Schema::from_attrs([AttributeMeta::numeric("x")]).unwrap();
-        let mut d = Dataset::new(schema);
-        for i in 0..10 {
-            let v = if i < 5 { 10.0 + i as f64 } else { 90.0 + i as f64 };
-            d.push_row(i as f64, &[Value::Num(v)]).unwrap();
-        }
-        let normal = Region::from_range(0..5);
-        let abnormal = Region::from_range(5..10);
-        let (values, range) = (d.numeric(0).unwrap(), d.numeric_range(0).unwrap());
-        let diff = normalized_mean_difference_view(values, range, &abnormal, &normal).unwrap();
-        assert!(diff > 0.8, "diff {diff}");
-        // Empty region yields None.
-        assert!(normalized_mean_difference_view(values, range, &Region::new(), &normal).is_none());
     }
 
     #[test]

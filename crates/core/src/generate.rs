@@ -1,9 +1,10 @@
 //! Algorithm 1: predicate generation (paper §4).
 //!
 //! Per attribute: build the partition space, label it from the abnormal and
-//! normal regions, then (numeric only) filter noisy partitions and fill the
-//! gaps; finally extract a candidate predicate when the single-block and
-//! `|µ_A − µ_N| > θ` conditions hold. Categorical attributes skip the
+//! normal regions (the same pass computes `|µ_A − µ_N|`, Eq. 2), then
+//! (numeric only) filter noisy partitions and fill the gaps; finally
+//! extract a candidate predicate when the `|µ_A − µ_N| > θ` and
+//! single-block conditions hold. Categorical attributes skip the
 //! filtering/filling steps and extract straight after labeling.
 
 use dbsherlock_telemetry::{
@@ -13,11 +14,11 @@ use dbsherlock_telemetry::{
 use crate::budget::ArmedBudget;
 use crate::error::SherlockError;
 use crate::exec::try_par_map_indexed;
-use crate::extract::{extract_categorical_view, extract_numeric, normalized_mean_difference_view};
+use crate::extract::{extract_categorical_view, extract_numeric};
 use crate::fill::fill_gaps_view;
 use crate::filter::filter_partitions;
 use crate::params::SherlockParams;
-use crate::partition::{LabeledSpace, PartitionIndex, PartitionSpace};
+use crate::partition::{LabeledSpace, PartitionIndex};
 use crate::predicate::Predicate;
 use crate::separation::separation_power_view;
 
@@ -144,10 +145,9 @@ pub(crate) fn try_generate_indexed<'a>(
 }
 
 /// Algorithm 1 for a single attribute after partitioning and labeling:
-/// (numeric) filter and fill, then extract — the unit of work the
-/// parallel executor maps over. Reads one column view; the numeric
-/// domain `[min, max]` is the space's own, i.e. the snapshot's memoized
-/// range; zero per-cell accesses.
+/// (numeric) the `θ` gate on the Eq. 2 difference labeling computed,
+/// filter and fill, then extract — the unit of work the parallel executor
+/// maps over. Reads one column view.
 fn extract_for_attribute(
     view: ColumnView<'_>,
     attr: &AttributeMeta,
@@ -161,9 +161,10 @@ fn extract_for_attribute(
     match attr.kind {
         AttributeKind::Numeric => {
             let values = view.numeric()?;
-            let PartitionSpace::Numeric { min, max, .. } = *space else {
+            let d = labeled.mean_difference()?;
+            if d <= params.theta {
                 return None;
-            };
+            }
             let filtered =
                 if ablation.skip_filtering { labels.to_vec() } else { filter_partitions(labels) };
             let filled = if ablation.skip_filling {
@@ -171,10 +172,6 @@ fn extract_for_attribute(
             } else {
                 fill_gaps_view(&filtered, params.delta, values, space, normal)
             };
-            let d = normalized_mean_difference_view(values, (min, max), abnormal, normal)?;
-            if d <= params.theta {
-                return None;
-            }
             let predicate = extract_numeric(&attr.name, space, &filled)?;
             let sp = separation_power_view(&predicate, view, abnormal, normal);
             (sp >= params.min_separation_power).then_some(GeneratedPredicate {

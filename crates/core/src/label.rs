@@ -1,4 +1,4 @@
-//! Partition labeling (paper §4.2).
+//! Partition labeling (paper §4.2), fused with Eq. 2 (§4.5).
 //!
 //! Numeric attributes use the *purity* rule: a partition is `Abnormal` only
 //! when every tuple it contains lies in the abnormal region, `Normal` only
@@ -6,10 +6,13 @@
 //! (no tuples, or mixed). Categorical attributes — much less noisy — use a
 //! *majority* rule on the abnormal/normal counts. Tuples outside both
 //! regions are ignored entirely (§4).
+//!
+//! The numeric pass also computes Eq. 2's `|µ_A − µ_N|`: both need each
+//! region cell's quotient `(v − Min) / (Max − Min)`, divided once per cell.
 
 use dbsherlock_telemetry::{ColumnView, Dataset, Region};
 
-use crate::partition::{PartitionLabel, PartitionSpace};
+use crate::partition::{NumericBinner, PartitionLabel, PartitionSpace};
 
 /// Label every partition of `space` (built for `attr_id` over `dataset`)
 /// from the user's `abnormal` and `normal` regions.
@@ -20,61 +23,46 @@ pub fn label_partitions(
     abnormal: &Region,
     normal: &Region,
 ) -> Vec<PartitionLabel> {
-    label_partitions_view(dataset.column(attr_id), space, abnormal, normal)
+    label_partitions_view(dataset.column(attr_id), space, abnormal, normal).0
 }
 
-/// Columnar labeling kernel: two count passes over the region indices of
-/// one attribute-contiguous column, then one purity/majority fold over
-/// the hit counts. Kind mismatches between `view` and `space` yield all-
-/// `Empty` labels rather than a panic; upstream generation never produces
-/// one.
+/// Columnar labeling kernel: one pass over each region's rows of one
+/// attribute-contiguous column, then one purity/majority fold. Returns
+/// the labels and, for a numeric space, the Eq. 2 difference (`None` when
+/// either region has no finite value). Kind mismatches between `view` and
+/// `space` yield all-`Empty` labels rather than a panic; upstream
+/// generation never produces one.
 pub(crate) fn label_partitions_view(
     view: ColumnView<'_>,
     space: &PartitionSpace,
     abnormal: &Region,
     normal: &Region,
-) -> Vec<PartitionLabel> {
-    match (space, view) {
-        (PartitionSpace::Numeric { .. }, ColumnView::Numeric(v)) => {
-            label_numeric(v.as_slice(), space, abnormal, normal)
+) -> (Vec<PartitionLabel>, Option<f64>) {
+    match (space.numeric_binner(), view) {
+        (Some(binner), ColumnView::Numeric(v)) => {
+            label_numeric(v.as_slice(), binner, space.len(), abnormal, normal)
         }
-        (PartitionSpace::Categorical { .. }, ColumnView::Categorical(c)) => {
-            label_categorical(c.ids, space, abnormal, normal)
+        (None, ColumnView::Categorical(c)) => {
+            (label_categorical(c.ids, space, abnormal, normal), None)
         }
-        _ => vec![PartitionLabel::Empty; space.len()],
+        _ => (vec![PartitionLabel::Empty; space.len()], None),
     }
 }
 
 fn label_numeric(
     values: &[f64],
-    space: &PartitionSpace,
+    binner: NumericBinner,
+    r: usize,
     abnormal: &Region,
     normal: &Region,
-) -> Vec<PartitionLabel> {
-    let Some(binner) = space.numeric_binner() else {
-        return vec![PartitionLabel::Empty; space.len()];
-    };
+) -> (Vec<PartitionLabel>, Option<f64>) {
     // The purity rule needs only whether each side has a row in a
     // partition, not how many: flags, with no read-modify-write chain.
-    let mut abnormal_seen = vec![false; space.len()];
-    let mut normal_seen = vec![false; space.len()];
-    // Rows outside the column (possible only on malformed regions) are
-    // skipped, like non-finite values.
-    for &row in abnormal.indices() {
-        if let Some(j) = values.get(row).copied().and_then(|v| binner.bin(v)) {
-            if let Some(seen) = abnormal_seen.get_mut(j) {
-                *seen = true;
-            }
-        }
-    }
-    for &row in normal.indices() {
-        if let Some(j) = values.get(row).copied().and_then(|v| binner.bin(v)) {
-            if let Some(seen) = normal_seen.get_mut(j) {
-                *seen = true;
-            }
-        }
-    }
-    abnormal_seen
+    let mut abnormal_seen = vec![false; r];
+    let mut normal_seen = vec![false; r];
+    let abnormal_mean = scan_region(values, binner, abnormal, &mut abnormal_seen);
+    let normal_mean = scan_region(values, binner, normal, &mut normal_seen);
+    let labels = abnormal_seen
         .iter()
         .zip(&normal_seen)
         .map(|(&a, &n)| match (a, n) {
@@ -83,7 +71,33 @@ fn label_numeric(
             // Empty, or mixed: no separation signal.
             _ => PartitionLabel::Empty,
         })
-        .collect()
+        .collect();
+    (labels, abnormal_mean.zip(normal_mean).map(|(a, n)| (a - n).abs()))
+}
+
+/// One walk over `region`'s rows: flags the partition of every finite
+/// cell and returns the mean of their normalized values, or `None` when
+/// there is none. The quotient `q` is divided out once per cell;
+/// `q.clamp(0, 1)` is exactly `stats::normalize`, summed in index order.
+/// Rows outside the column (possible only on malformed regions) are
+/// skipped, like non-finite values.
+fn scan_region(
+    values: &[f64],
+    binner: NumericBinner,
+    region: &Region,
+    seen: &mut [bool],
+) -> Option<f64> {
+    let (mut sum, mut count) = (0.0f64, 0usize);
+    for &row in region.indices() {
+        let Some(&v) = values.get(row).filter(|v| v.is_finite()) else { continue };
+        let q = binner.quotient(v);
+        sum += q.clamp(0.0, 1.0);
+        count += 1;
+        if let Some(flag) = seen.get_mut(binner.bin_quotient(q)) {
+            *flag = true;
+        }
+    }
+    (count > 0).then(|| sum / count as f64)
 }
 
 fn label_categorical(
@@ -123,6 +137,76 @@ fn label_categorical(
 mod tests {
     use super::*;
     use crate::fixtures::{categorical_dataset, numeric_dataset};
+    use crate::partition::LabeledSpace;
+    use crate::scalar;
+
+    /// The fused pass of a numeric `LabeledSpace` against the row-wise
+    /// oracle: the same labels, and a bit-equal Eq. 2 difference.
+    fn assert_fused_matches_oracle(d: &Dataset, abnormal: &Region, normal: &Region, r: usize) {
+        let labeled = LabeledSpace::build(&d.snapshot(), 0, abnormal, normal, r).unwrap();
+        let oracle_labels = scalar::label_partitions(d, 0, labeled.space(), abnormal, normal);
+        assert_eq!(labeled.labels(), oracle_labels, "R = {r}");
+        let oracle_difference = scalar::normalized_mean_difference(d, 0, abnormal, normal);
+        assert_eq!(
+            labeled.mean_difference().map(f64::to_bits),
+            oracle_difference.map(f64::to_bits),
+            "R = {r}"
+        );
+    }
+
+    #[test]
+    fn fused_pass_matches_row_wise_oracle() {
+        // Domain [-3.7, 41.3], salted with NaN and ±∞; the column holds
+        // `min`, `max` and every partition boundary for R = 3, 4 and 7.
+        let (min, max) = (-3.7, 41.3);
+        let mut values = vec![min, max, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 41.2];
+        for r in [3, 4, 7] {
+            // `lower_bound(j)` of the space over [min, max].
+            values.extend((1..r).map(|j| min + (max - min) / r as f64 * j as f64));
+        }
+        values.extend((0..400).map(|i| {
+            if i % 7 == 0 {
+                f64::NAN
+            } else {
+                min + (i * 37 % 101) as f64 * 0.4457
+            }
+        }));
+        let d = numeric_dataset(&values);
+        let n = values.len();
+        for abnormal in
+            [Region::from_indices((0..n).filter(|i| i % 3 == 0)), Region::from_range(100..180)]
+        {
+            let normal = abnormal.complement(n);
+            for r in [1, 2, 3, 4, 7, 100, 1000] {
+                assert_fused_matches_oracle(&d, &abnormal, &normal, r);
+                assert_fused_matches_oracle(&d, &normal, &abnormal, r);
+            }
+        }
+        // A region with no finite value has no mean, so no difference.
+        let non_finite = Region::from_indices([2, 3, 4]);
+        let normal = non_finite.complement(n);
+        for r in [1, 4] {
+            assert_fused_matches_oracle(&d, &non_finite, &normal, r);
+            assert_fused_matches_oracle(&d, &normal, &non_finite, r);
+        }
+        let labeled = LabeledSpace::build(&d.snapshot(), 0, &non_finite, &normal, 4).unwrap();
+        assert_eq!(labeled.mean_difference(), None);
+    }
+
+    #[test]
+    fn fused_difference_detects_shift() {
+        let values: Vec<f64> =
+            (0..10).map(|i| if i < 5 { 10.0 + i as f64 } else { 90.0 + i as f64 }).collect();
+        let d = numeric_dataset(&values);
+        let normal = Region::from_range(0..5);
+        let abnormal = Region::from_range(5..10);
+        let labeled = LabeledSpace::build(&d.snapshot(), 0, &abnormal, &normal, 10).unwrap();
+        let diff = labeled.mean_difference().unwrap();
+        assert!(diff > 0.8, "diff {diff}");
+        // Empty region yields None.
+        let labeled = LabeledSpace::build(&d.snapshot(), 0, &Region::new(), &normal, 10).unwrap();
+        assert!(labeled.mean_difference().is_none());
+    }
 
     #[test]
     fn numeric_purity_rule() {

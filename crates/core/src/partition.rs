@@ -160,7 +160,9 @@ impl PartitionSpace {
 /// pipeline's bit-identity contract: it equals the paper's
 /// `floor((v − Min) / (Max − Min) · R)` clamped to `[0, R − 1]`, because
 /// truncation and floor differ only on negative non-integers, which the
-/// clamp sends to 0 either way (`scalar.rs` keeps the floor form).
+/// clamp sends to 0 either way (`scalar.rs` keeps the floor form). The
+/// quotient `(v − Min) / (Max − Min)` is also the one `stats::normalize`
+/// clamps for Eq. 2, so the labeling kernel divides once per cell for both.
 #[derive(Debug, Clone, Copy)]
 pub struct NumericBinner {
     min: f64,
@@ -173,12 +175,20 @@ impl NumericBinner {
     /// the edge partitions outside `[min, max]`.
     #[inline]
     pub(crate) fn bin(&self, v: f64) -> Option<usize> {
-        if !v.is_finite() {
-            return None;
-        }
+        v.is_finite().then(|| self.bin_quotient(self.quotient(v)))
+    }
+
+    /// `(v − min) / (max − min)`: `v`'s position in the domain.
+    #[inline]
+    pub(crate) fn quotient(&self, v: f64) -> f64 {
+        (v - self.min) / (self.max - self.min)
+    }
+
+    /// Partition index of a finite [`quotient`](Self::quotient).
+    #[inline]
+    pub(crate) fn bin_quotient(&self, q: f64) -> usize {
         // `as` truncates (and saturates); no `floor` call on the hot path.
-        let idx = ((v - self.min) / (self.max - self.min) * self.r as f64) as isize;
-        Some(idx.clamp(0, self.r as isize - 1) as usize)
+        ((q * self.r as f64) as isize).clamp(0, self.r as isize - 1) as usize
     }
 }
 
@@ -192,6 +202,8 @@ impl NumericBinner {
 pub struct LabeledSpace {
     space: PartitionSpace,
     labels: Vec<PartitionLabel>,
+    /// Eq. 2's `|µ_A − µ_N|`, set by [`build`](Self::build) on numeric spaces.
+    mean_difference: Option<f64>,
     /// `abnormal_before[j]`: `Abnormal` labels among partitions `0..j`
     /// (`labels.len() + 1` entries).
     abnormal_before: Vec<u32>,
@@ -217,7 +229,7 @@ impl LabeledSpace {
         };
         let abnormal_before = prefix(PartitionLabel::Abnormal);
         let normal_before = prefix(PartitionLabel::Normal);
-        LabeledSpace { space, labels, abnormal_before, normal_before }
+        LabeledSpace { space, labels, mean_difference: None, abnormal_before, normal_before }
     }
 
     /// Partition and label attribute `attr_id` of `snapshot` against the
@@ -239,8 +251,8 @@ impl LabeledSpace {
             }
             ColumnView::Categorical(c) => PartitionSpace::from_dictionary(c.dict)?,
         };
-        let labels = label_partitions_view(view, &space, abnormal, normal);
-        Some(LabeledSpace::new(space, labels))
+        let (labels, mean_difference) = label_partitions_view(view, &space, abnormal, normal);
+        Some(LabeledSpace { mean_difference, ..LabeledSpace::new(space, labels) })
     }
 
     /// The partition space.
@@ -251,6 +263,11 @@ impl LabeledSpace {
     /// The pre-filter labels, one per partition.
     pub(crate) fn labels(&self) -> &[PartitionLabel] {
         &self.labels
+    }
+
+    /// Eq. 2's normalized mean difference, computed while labeling.
+    pub(crate) fn mean_difference(&self) -> Option<f64> {
+        self.mean_difference
     }
 
     /// One Eq. 3 term: `|Pred(P_A)| / |P_A| − |Pred(P_N)| / |P_N|` over

@@ -41,6 +41,26 @@ fn value(dataset: &Dataset, row: usize, attr_id: usize) -> Value {
     }
 }
 
+/// Serial `(min, max)` over the finite values of a numeric attribute, in
+/// row order with `f64::min`/`f64::max`: the oracle's own copy of the
+/// fold, so the lane-parallel one behind `Dataset::numeric_range` is
+/// checked against it rather than against itself.
+fn finite_range(dataset: &Dataset, attr_id: usize) -> Option<(f64, f64)> {
+    let mut it = dataset.numeric(attr_id)?.iter().copied().filter(|v| v.is_finite());
+    let first = it.next()?;
+    Some(it.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))))
+}
+
+/// `PartitionSpace::build` with the numeric domain from [`finite_range`].
+fn partition_space(dataset: &Dataset, attr_id: usize, r: usize) -> Option<PartitionSpace> {
+    match dataset.schema().attr(attr_id).kind {
+        AttributeKind::Numeric => {
+            PartitionSpace::from_numeric_range(finite_range(dataset, attr_id), r)
+        }
+        AttributeKind::Categorical => PartitionSpace::build(dataset, attr_id, r),
+    }
+}
+
 /// Row-wise evaluation of `predicate` on one row: one `value()` dispatch
 /// (and, for categorical attributes, one dictionary lookup) per call.
 pub(crate) fn matches_row(predicate: &Predicate, dataset: &Dataset, row: usize) -> bool {
@@ -220,7 +240,7 @@ pub(crate) fn normalized_mean_difference(
     abnormal: &Region,
     normal: &Region,
 ) -> Option<f64> {
-    let (min, max) = dataset.numeric_range(attr_id).ok()?;
+    let (min, max) = finite_range(dataset, attr_id)?;
     let mean_of = |region: &Region| -> Option<f64> {
         let values: Vec<f64> = region
             .indices()
@@ -275,10 +295,14 @@ pub fn generate_predicates_ablated(
         .schema()
         .iter()
         .filter_map(|(attr_id, attr)| {
-            let space = PartitionSpace::build(dataset, attr_id, params.n_partitions)?;
+            let space = partition_space(dataset, attr_id, params.n_partitions)?;
             let labels = label_partitions(dataset, attr_id, &space, abnormal, normal);
             match attr.kind {
                 AttributeKind::Numeric => {
+                    let d = normalized_mean_difference(dataset, attr_id, abnormal, normal)?;
+                    if d <= params.theta {
+                        return None;
+                    }
                     let filtered =
                         if ablation.skip_filtering { labels } else { filter_partitions(&labels) };
                     let filled = if ablation.skip_filling {
@@ -287,10 +311,6 @@ pub fn generate_predicates_ablated(
                         let values = dataset.numeric(attr_id).unwrap_or(&[]);
                         fill_gaps_view(&filtered, params.delta, values, &space, normal)
                     };
-                    let d = normalized_mean_difference(dataset, attr_id, abnormal, normal)?;
-                    if d <= params.theta {
-                        return None;
-                    }
                     let predicate = extract_numeric(&attr.name, &space, &filled)?;
                     let sp = separation_power(&predicate, dataset, abnormal, normal);
                     (sp >= params.min_separation_power).then_some(GeneratedPredicate {
@@ -337,7 +357,7 @@ pub(crate) fn confidence(
             let Some(attr_id) = dataset.schema().id_of(&pred.attr) else {
                 return 0.0;
             };
-            let Some(space) = PartitionSpace::build(dataset, attr_id, params.n_partitions) else {
+            let Some(space) = partition_space(dataset, attr_id, params.n_partitions) else {
                 return 0.0;
             };
             let labels = label_partitions(dataset, attr_id, &space, abnormal, normal);

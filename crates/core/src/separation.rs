@@ -20,24 +20,30 @@ pub fn separation_power(
     separation_power_view(predicate, dataset.column(attr_id), abnormal, normal)
 }
 
-/// [`separation_power`] over an already-resolved column view: fills the
-/// predicate's mask once, then counts hits over both regions — one column
-/// scan instead of two row-wise selectivity passes.
+/// [`separation_power`] over an already-resolved column view: counts the
+/// rows of each region that satisfy the predicate, with the comparisons
+/// of `Predicate::fill_mask` and no column-length mask.
 pub(crate) fn separation_power_view(
     predicate: &Predicate,
     view: ColumnView<'_>,
     abnormal: &Region,
     normal: &Region,
 ) -> f64 {
-    let mut mask = Vec::new();
-    predicate.fill_mask(view, &mut mask);
+    let op = &predicate.op;
+    // A numeric op on a categorical column gets an all-false table.
+    let table = view.categorical().map(|(_, dict)| op.category_table(dict)).unwrap_or_default();
+    let matches = |r: usize| match view {
+        ColumnView::Numeric(v) => v.0.get(r).is_some_and(|&x| op.matches_num(x)),
+        ColumnView::Categorical(c) => {
+            c.ids.get(r).and_then(|&id| table.get(id as usize)) == Some(&true)
+        }
+    };
     let frac = |region: &Region| -> f64 {
         let rows = region.indices();
         if rows.is_empty() {
             return 0.0;
         }
-        let hits = rows.iter().filter(|&&r| mask.get(r).copied().unwrap_or(false)).count();
-        hits as f64 / rows.len() as f64
+        rows.iter().filter(|&&r| matches(r)).count() as f64 / rows.len() as f64
     };
     frac(abnormal) - frac(normal)
 }

@@ -10,8 +10,11 @@
 //! [`ColumnarSnapshot`] pins every column view of a dataset for a whole
 //! diagnosis pass and memoizes per-attribute finite ranges, so partition-
 //! space construction (§4.1) and normalized mean differences (§4.5) share
-//! one min/max scan per attribute instead of re-scanning the column.
+//! one min/max scan per attribute instead of re-scanning the column. The
+//! scan is a lane-parallel fold that is bit-identical to a serial one
+//! (see `NumericView::finite_range`).
 
+use std::num::FpCategory;
 use std::sync::OnceLock;
 
 use crate::dataset::{Column, Dataset};
@@ -31,20 +34,59 @@ impl<'a> NumericView<'a> {
     /// `(min, max)` over the finite values, `None` when no value is finite.
     ///
     /// This is the single source of truth for the fold behind
-    /// [`Dataset::numeric_range`] and the snapshot's range cache — the
-    /// iteration order and `f64::min`/`f64::max` reduction are part of the
-    /// bit-identity contract of the diagnosis pipeline.
+    /// [`Dataset::numeric_range`] and the snapshot's range cache. Its
+    /// output is part of the bit-identity contract of the diagnosis
+    /// pipeline: it equals a serial left-to-right `f64::min`/`f64::max`
+    /// fold over the finite values, bit for bit.
+    ///
+    /// The fold keeps [`RANGE_LANES`] independent lanes so the compiler
+    /// can vectorise it, then reduces the lanes. A non-zero finite extreme
+    /// has exactly one bit pattern, so lane order cannot change it; only
+    /// the sign of a zero extreme depends on reduction order. When either
+    /// extreme is `±0.0` the column is folded again serially, in the
+    /// reference order.
     pub(crate) fn finite_range(&self) -> Option<(f64, f64)> {
+        let chunks = self.0.chunks_exact(RANGE_LANES);
+        let tail = chunks.remainder();
+        let mut lo = [f64::INFINITY; RANGE_LANES];
+        let mut hi = [f64::NEG_INFINITY; RANGE_LANES];
+        for chunk in chunks {
+            for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(chunk) {
+                let finite = v.is_finite();
+                *l = if finite && v < *l { v } else { *l };
+                *h = if finite && v > *h { v } else { *h };
+            }
+        }
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (&l, &h) in lo.iter().zip(&hi) {
+            min = if l < min { l } else { min };
+            max = if h > max { h } else { max };
+        }
+        for &v in tail.iter().filter(|v| v.is_finite()) {
+            min = if v < min { v } else { min };
+            max = if v > max { v } else { max };
+        }
+        if min > max {
+            return None; // no finite value: both are still the ±∞ seeds
+        }
+        if min.classify() == FpCategory::Zero || max.classify() == FpCategory::Zero {
+            return self.serial_finite_range();
+        }
+        Some((min, max))
+    }
+
+    /// The reference fold: finite values in column order, reduced with
+    /// `f64::min`/`f64::max`.
+    fn serial_finite_range(&self) -> Option<(f64, f64)> {
         let mut it = self.0.iter().copied().filter(|v| v.is_finite());
         let first = it.next()?;
-        let (mut lo, mut hi) = (first, first);
-        for v in it {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        Some((lo, hi))
+        Some(it.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))))
     }
 }
+
+/// Lanes of [`NumericView::finite_range`]'s fold: eight `f64`s, two
+/// 256-bit vectors per extreme.
+const RANGE_LANES: usize = 8;
 
 /// Borrowed view of one categorical column: per-row dictionary ids plus
 /// the dictionary they index into.
@@ -113,7 +155,10 @@ impl<'a> ColumnView<'a> {
 /// normalized mean difference, anchor averaging) reuse the result. The
 /// fold is `NumericView::finite_range`, so cached and uncached paths
 /// are bit-identical; concurrent initialization races are benign because
-/// every thread computes the same value.
+/// every thread computes the same value. That fold runs in lanes and
+/// falls back to the serial fold when an extreme is `±0.0`, the one case
+/// where reduction order shows in the bits, so the cached range equals a
+/// serial `f64::min`/`f64::max` fold bit for bit.
 #[derive(Debug)]
 pub struct ColumnarSnapshot<'a> {
     dataset: &'a Dataset,

@@ -5,6 +5,7 @@ use dbsherlock_telemetry::{
     IngestWarning, RawCell, Region, Schema, Value,
 };
 use proptest::prelude::*;
+use std::num::FpCategory;
 
 fn finite_f64() -> impl Strategy<Value = f64> {
     // Avoid exotic values whose Display/parse round-trip is lossy by
@@ -387,5 +388,67 @@ proptest! {
             d.push_row(csv_number(*timestamp), &values).unwrap();
         }
         prop_assert_eq!(to_csv(&d), oracle_to_csv(&d));
+    }
+}
+
+/// The values where a min/max fold can go wrong: signed zeros, NaN, ±∞,
+/// subnormals and the extremes.
+const RANGE_EDGES: [f64; 9] = [
+    0.0,
+    -0.0,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::MIN_POSITIVE / 4.0,
+    -f64::MIN_POSITIVE / 4.0,
+    f64::MIN,
+    f64::MAX,
+];
+
+/// The serial fold `finite_range` must equal: finite values in column
+/// order, reduced with `f64::min`/`f64::max`.
+fn serial_finite_range(values: &[f64]) -> Option<(f64, f64)> {
+    let mut it = values.iter().copied().filter(|v| v.is_finite());
+    let first = it.next()?;
+    let (mut lo, mut hi) = (first, first);
+    for v in it {
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    Some((lo, hi))
+}
+
+proptest! {
+    /// The lane-parallel range fold behind `Dataset::numeric_range` and
+    /// the snapshot cache equals the serial fold bit for bit, zero signs
+    /// included, at every column length from empty to three full
+    /// eight-lane chunks plus the longest remainder. Each column is also
+    /// checked with its non-zero values made positive, then negative, so
+    /// that a zero is often the minimum or the maximum.
+    #[test]
+    fn finite_range_matches_serial_fold(
+        draws in proptest::collection::vec((0usize..12, prop::num::f64::NORMAL), 31),
+    ) {
+        // Three picks in four land on an edge value, the rest on a normal one.
+        let cells: Vec<f64> =
+            draws.iter().map(|&(pick, v)| RANGE_EDGES.get(pick).copied().unwrap_or(v)).collect();
+        let bits = |range: Option<(f64, f64)>| range.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+        let signs: [fn(f64) -> f64; 3] = [|v| v, f64::abs, |v| -v.abs()];
+        for sign in signs {
+            // Zeros keep their sign: it is what the fold could get wrong.
+            let signed: Vec<f64> =
+                cells.iter().map(|&v| if v.classify() == FpCategory::Zero { v } else { sign(v) }).collect();
+            for len in 0..=signed.len() {
+                let column = &signed[..len];
+                let mut d =
+                    Dataset::new(Schema::from_attrs([AttributeMeta::numeric("x")]).unwrap());
+                for (i, &v) in column.iter().enumerate() {
+                    d.push_row(i as f64, &[Value::Num(v)]).unwrap();
+                }
+                let expected = bits(serial_finite_range(column));
+                prop_assert_eq!(bits(d.numeric_range(0).ok()), expected, "{:?}", column);
+                prop_assert_eq!(bits(d.snapshot().numeric_range(0)), expected, "{:?}", column);
+            }
+        }
     }
 }

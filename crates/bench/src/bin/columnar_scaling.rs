@@ -28,7 +28,7 @@ use dbsherlock_telemetry::{AttributeMeta, Dataset, Region, Schema, Value};
 
 /// Thread budgets to measure: 1, N/2, N, plus a fixed 4-thread point.
 fn thread_counts() -> Vec<usize> {
-    let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let n = ExecPolicy::Auto.resolve();
     let mut counts = vec![1, (n / 2).max(1), n, 4];
     counts.sort_unstable();
     counts.dedup();
@@ -181,7 +181,7 @@ fn main() {
     let threads = thread_counts();
     let row_counts = [1_000usize, 10_000, 50_000];
     let attr_counts = [8usize, 32, 128];
-    let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let n = ExecPolicy::Auto.resolve();
     println!(
         "columnar scaling sweep: rows {row_counts:?} × attrs {attr_counts:?} × threads {threads:?}"
     );

@@ -20,7 +20,7 @@ use dbsherlock_telemetry::Region;
 
 /// Thread budgets to measure: 1, N/2, N, plus a fixed 4-thread point.
 fn thread_counts() -> Vec<usize> {
-    let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let n = ExecPolicy::Auto.resolve();
     let mut counts = vec![1, (n / 2).max(1), n, 4];
     counts.sort_unstable();
     counts.dedup();
@@ -87,7 +87,7 @@ fn main() {
         .map(|(entry, abnormal)| Case::new(&entry.labeled.data, abnormal))
         .collect();
 
-    let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let n = ExecPolicy::Auto.resolve();
     println!("diagnosing {} cases, available parallelism {n}", cases.len());
 
     let mut rows = Vec::new();

@@ -16,8 +16,10 @@
 //! is rejected by sherlock-lint's `raw-spawn` rule; route new parallelism
 //! through here.
 //!
-//! Two mapping primitives share one private deterministic round-robin
-//! scheduler, which holds the workspace's only spawn site:
+//! Two mapping primitives share one private deterministic scheduler, which
+//! holds the workspace's only spawn site. A fan-out on `T` threads spawns
+//! `T − 1` scoped helpers and makes the calling thread the `T`-th worker;
+//! every worker claims the next unclaimed index from one shared cursor:
 //!
 //! * [`par_map_indexed`] — infallible `f`; a panic in any task propagates to
 //!   the caller exactly as the serial loop would surface it.
@@ -27,6 +29,8 @@
 //!   down the rest of a batch.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::error::SherlockError;
 
@@ -37,22 +41,28 @@ pub enum ExecPolicy {
     /// thread machinery; the reference against which parallel output is
     /// checked bit-for-bit.
     Serial,
-    /// Use exactly `n` worker threads (clamped to at least 1).
+    /// Use exactly `n` worker threads (clamped to at least 1): the calling
+    /// thread plus `n − 1` spawned helpers.
     Threads(usize),
-    /// Use one thread per available CPU, as reported by
-    /// [`std::thread::available_parallelism`]; falls back to serial when the
-    /// parallelism cannot be determined.
+    /// Use one thread per available CPU, the calling thread included, as
+    /// reported by [`std::thread::available_parallelism`]; falls back to
+    /// serial when the parallelism cannot be determined. The count is read
+    /// once per process, as rayon sizes its global pool.
     #[default]
     Auto,
 }
 
 impl ExecPolicy {
-    /// Resolve the policy to a concrete thread count (always ≥ 1).
+    /// Resolve the policy to a concrete thread count (always ≥ 1). `Auto`
+    /// queries the CPU count on first use and reuses it thereafter.
     pub fn resolve(self) -> usize {
+        static CPUS: OnceLock<usize> = OnceLock::new();
         match self {
             ExecPolicy::Serial => 1,
             ExecPolicy::Threads(n) => n.max(1),
-            ExecPolicy::Auto => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            ExecPolicy::Auto => {
+                *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            }
         }
     }
 }
@@ -70,14 +80,15 @@ impl std::fmt::Display for ExecPolicy {
 /// Map `f` over `items`, possibly in parallel, returning results in input
 /// order.
 ///
-/// Work is dealt round-robin: thread `t` of `T` handles indices
-/// `t, t+T, t+2T, …`, each producing `(index, result)` pairs that are merged
-/// and sorted by index afterwards. Because `f` receives the index and the
-/// item — never any cross-item state — the output is identical under any
-/// [`ExecPolicy`], which the determinism suite asserts.
+/// On `T` threads the calling thread works beside `T − 1` scoped helpers.
+/// Each worker claims the next unclaimed index from one shared cursor and
+/// keeps `(index, result)` pairs, which are merged and sorted by index
+/// afterwards. Because `f` receives the index and the item — never any
+/// cross-item state — the output is identical under any [`ExecPolicy`] and
+/// any schedule, which the determinism suite asserts.
 ///
-/// A panic in `f` on a worker thread is propagated to the caller with its
-/// original payload (the same behavior as the serial loop).
+/// A panic in `f` is propagated to the caller with its original payload (the
+/// same behavior as the serial loop), whichever worker ran the item.
 pub fn par_map_indexed<T, U, F>(policy: ExecPolicy, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -89,7 +100,7 @@ where
 
 /// The one scheduler behind both public maps: serial on the calling thread
 /// when the policy resolves to one thread (no thread machinery built),
-/// otherwise the round-robin deal described on [`par_map_indexed`].
+/// otherwise the shared-cursor fan-out described on [`par_map_indexed`].
 fn map<T, U, F>(policy: ExecPolicy, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -101,27 +112,28 @@ where
         return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
     }
 
+    // The cursor only hands out indices; results reach the caller through
+    // the join, so `Relaxed` suffices.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut chunk = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return chunk };
+            chunk.push((i, f(i, item)));
+        }
+    };
     let mut indexed: Vec<(usize, U)> = Vec::with_capacity(items.len());
+    // A panic on the calling thread unwinds out of the scope once the helpers
+    // are joined, carrying the caller's own payload.
     // sherlock-lint: allow(raw-spawn): this is the one sanctioned spawn site
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let f = &f;
-                scope.spawn(move || {
-                    items
-                        .iter()
-                        .enumerate()
-                        .skip(tid)
-                        .step_by(threads)
-                        .map(|(i, item)| (i, f(i, item)))
-                        .collect::<Vec<(usize, U)>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            // Re-raise a worker panic with its own payload, exactly as the
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        indexed.extend(work());
+        for helper in helpers {
+            // Re-raise a helper panic with its own payload, exactly as the
             // serial loop would surface it.
-            match handle.join() {
+            match helper.join() {
                 Ok(chunk) => indexed.extend(chunk),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
@@ -185,6 +197,7 @@ mod tests {
         assert_eq!(ExecPolicy::Threads(0).resolve(), 1);
         assert_eq!(ExecPolicy::Threads(7).resolve(), 7);
         assert!(ExecPolicy::Auto.resolve() >= 1);
+        assert_eq!(ExecPolicy::Auto.resolve(), ExecPolicy::Auto.resolve());
     }
 
     #[test]
@@ -194,12 +207,26 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
-        let items: Vec<u64> = (0..101).collect();
-        let square = |i: usize, x: &u64| (i as u64) * 1000 + x * x;
-        let serial = par_map_indexed(ExecPolicy::Serial, &items, square);
-        for threads in [2, 3, 4, 16, 200] {
-            let parallel = par_map_indexed(ExecPolicy::Threads(threads), &items, square);
-            assert_eq!(serial, parallel, "threads={threads}");
+        // Every index is evaluated exactly once and comes back in input
+        // order, whichever worker claimed it.
+        for threads in (1..=8).chain([16, 200]) {
+            for len in [0usize, 1, 2, 3, 7, 64, 101] {
+                let items: Vec<usize> = (0..len).map(|i| i * 3).collect();
+                let policy = ExecPolicy::Threads(threads);
+                let square = |i: usize, x: &usize| i * 1000 + x * x;
+                let serial = par_map_indexed(ExecPolicy::Serial, &items, square);
+
+                let calls: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                let counted = |i: usize, x: &usize| {
+                    calls[i].fetch_add(1, Ordering::Relaxed);
+                    square(i, x)
+                };
+                assert_eq!(par_map_indexed(policy, &items, counted), serial, "{policy}, {len}");
+                let fallible = try_par_map_indexed(policy, "t", &items, |i, x| Ok(counted(i, x)));
+                let fallible: Vec<usize> = fallible.into_iter().map(|r| r.unwrap()).collect();
+                assert_eq!(fallible, serial, "try {policy}, {len}");
+                assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 2), "{policy}, {len}");
+            }
         }
     }
 
@@ -214,6 +241,31 @@ mod tests {
         let items = [1, 2, 3];
         let out = par_map_indexed(ExecPolicy::Threads(64), &items, |_, x| x * 2);
         assert_eq!(out, vec![2, 4, 6]);
+    }
+
+    /// The distinct threads that ran `f` over 64 items under `policy`.
+    fn worker_threads(policy: ExecPolicy) -> Vec<std::thread::ThreadId> {
+        let seen = std::sync::Mutex::new(Vec::new());
+        let items = [0u8; 64];
+        par_map_indexed(policy, &items, |_, _| {
+            std::thread::sleep(std::time::Duration::from_micros(50));
+            let id = std::thread::current().id();
+            let mut seen = seen.lock().unwrap();
+            if !seen.contains(&id) {
+                seen.push(id);
+            }
+        });
+        seen.into_inner().unwrap()
+    }
+
+    #[test]
+    fn threads_n_runs_on_at_most_n_threads() {
+        for n in 1..=8 {
+            let seen = worker_threads(ExecPolicy::Threads(n));
+            assert!(!seen.is_empty() && seen.len() <= n, "threads({n}) ran on {}", seen.len());
+        }
+        assert_eq!(worker_threads(ExecPolicy::Serial), vec![std::thread::current().id()]);
+        assert_eq!(worker_threads(ExecPolicy::Threads(1)), vec![std::thread::current().id()]);
     }
 
     use crate::chaos::quiet_panics;
@@ -265,20 +317,45 @@ mod tests {
 
     #[test]
     fn worker_panics_keep_their_payload() {
-        let items: Vec<u32> = (0..20).collect();
-        for policy in [ExecPolicy::Serial, ExecPolicy::Threads(4)] {
-            let payload = quiet_panics(|| {
-                std::panic::catch_unwind(|| {
-                    par_map_indexed(policy, &items, |_, &x| {
-                        if x == 7 {
-                            panic!("poison at {x}");
-                        }
-                        x
+        let items: Vec<usize> = (0..33).collect();
+        for policy in [ExecPolicy::Serial, ExecPolicy::Threads(2), ExecPolicy::Threads(4)] {
+            for poison in [0, items.len() / 2, items.len() - 1] {
+                // Either the caller or a helper may claim the poisoned index;
+                // repeat so both get their turn, and hold the payload either way.
+                for _ in 0..16 {
+                    let payload = quiet_panics(|| {
+                        std::panic::catch_unwind(|| {
+                            par_map_indexed(policy, &items, |i, &x| {
+                                if i == poison {
+                                    panic!("poison at {i}");
+                                }
+                                x
+                            })
+                        })
                     })
-                })
-            })
-            .expect_err("the poisoned item must panic");
-            assert_eq!(panic_message(payload.as_ref()), "poison at 7", "{policy}");
+                    .expect_err("the poisoned item must panic");
+                    let message = panic_message(payload.as_ref());
+                    assert_eq!(message, format!("poison at {poison}"), "{policy}");
+
+                    let results = quiet_panics(|| {
+                        try_par_map_indexed(policy, "p", &items, |i, &x| {
+                            if i == poison {
+                                panic!("poison at {i}");
+                            }
+                            Ok(x)
+                        })
+                    });
+                    for (i, result) in results.iter().enumerate() {
+                        match result {
+                            Err(SherlockError::TaskPanicked { message, .. }) if i == poison => {
+                                assert_eq!(message, &format!("poison at {poison}"), "{policy}");
+                            }
+                            Ok(x) if i != poison => assert_eq!(*x, i, "{policy}"),
+                            other => panic!("{policy} slot {i}: unexpected {other:?}"),
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -247,7 +247,7 @@ pub fn repair_alignment(
             });
             continue;
         }
-        let values = out.values_from(dataset, row, true)?;
+        let values = out.values_from(dataset, row)?;
         out.push_row(snapped, &values)?;
     }
     Ok((out, warnings))

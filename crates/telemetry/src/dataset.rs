@@ -217,41 +217,11 @@ impl Dataset {
         Region::from_indices(indices)
     }
 
-    /// New dataset containing only the rows in `region`, in order.
-    pub fn select(&self, region: &Region) -> Result<Dataset> {
-        if let Some(&max) = region.indices().last() {
-            if max >= self.n_rows() {
-                return Err(TelemetryError::RowOutOfBounds { index: max, len: self.n_rows() });
-            }
-        }
-        let mut out = Dataset::new(self.schema.clone());
-        // Preserve dictionaries verbatim so category ids stay comparable
-        // across selections of the same dataset.
-        for (id, col) in self.columns.iter().enumerate() {
-            if let Column::Categorical { dict, .. } = col {
-                if let Column::Categorical { dict: d, .. } = &mut out.columns[id] {
-                    *d = dict.clone();
-                }
-            }
-        }
-        for &row in region.indices() {
-            let values = out.values_from(self, row, false)?;
-            out.push_row(self.timestamps[row], &values)?;
-        }
-        Ok(out)
-    }
-
     /// Row `row` of `src` (same attribute layout) as values ready for this
-    /// dataset's [`push_row`](Self::push_row). With `reintern`, categorical
-    /// values are re-interned here by label, so the two datasets need not
-    /// share dictionary ids; without it, ids are copied verbatim and the
-    /// caller must have copied `src`'s dictionaries.
-    pub(crate) fn values_from(
-        &mut self,
-        src: &Dataset,
-        row: usize,
-        reintern: bool,
-    ) -> Result<Vec<Value>> {
+    /// dataset's [`push_row`](Self::push_row). Categorical values are
+    /// re-interned here by label, so the two datasets need not share
+    /// dictionary ids.
+    pub(crate) fn values_from(&mut self, src: &Dataset, row: usize) -> Result<Vec<Value>> {
         let out_of_bounds = || TelemetryError::RowOutOfBounds { index: row, len: src.n_rows() };
         let mut values = Vec::with_capacity(src.schema.len());
         for attr_id in 0..src.schema.len() {
@@ -259,11 +229,7 @@ impl Dataset {
                 ColumnView::Numeric(v) => Value::Num(*v.0.get(row).ok_or_else(out_of_bounds)?),
                 ColumnView::Categorical(c) => {
                     let id = *c.ids.get(row).ok_or_else(out_of_bounds)?;
-                    if reintern {
-                        self.intern(attr_id, c.dict.label(id).unwrap_or("<unknown>"))?
-                    } else {
-                        Value::Cat(id)
-                    }
+                    self.intern(attr_id, c.dict.label(id).unwrap_or("<unknown>"))?
                 }
             });
         }
@@ -330,32 +296,13 @@ mod tests {
     }
 
     #[test]
-    fn select_keeps_dictionary() {
-        let d = sample();
-        let r = Region::from_indices([1, 2]);
-        let s = d.select(&r).unwrap();
-        assert_eq!(s.n_rows(), 2);
-        assert_eq!(s.numeric(0).unwrap(), &[20.0, 30.0]);
-        let (ids, dict) = s.categorical(1).unwrap();
-        assert_eq!(ids, &[1, 0]);
-        assert_eq!(dict.label(1), Some("busy"));
-        assert_eq!(s.timestamps(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn select_out_of_bounds() {
-        let d = sample();
-        assert!(d.select(&Region::from_indices([5])).is_err());
-    }
-
-    #[test]
     fn extend_from_reinterns_labels() {
         let mut a = sample();
         let mut b = Dataset::new(schema());
         // In `b`, "backup" gets id 0 — must map to a fresh id in `a`.
         let backup = b.intern(1, "backup").unwrap();
         b.push_row(9.0, &[Value::Num(1.0), backup]).unwrap();
-        let values = a.values_from(&b, 0, true).unwrap();
+        let values = a.values_from(&b, 0).unwrap();
         a.push_row(9.0, &values).unwrap();
         assert_eq!(a.n_rows(), 4);
         let (ids, dict) = a.categorical(1).unwrap();

@@ -123,24 +123,6 @@ pub fn bin_index(value: f64, min: f64, max: f64, bins: usize) -> usize {
     raw.clamp(0, bins as isize - 1) as usize
 }
 
-/// Histogram of `values` over `bins` equi-width bins spanning the data range.
-pub fn histogram(values: &[f64], bins: usize) -> Vec<usize> {
-    let mut counts = vec![0usize; bins.max(1)];
-    if values.is_empty() {
-        return counts;
-    }
-    let finite: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
-    if finite.is_empty() {
-        return counts;
-    }
-    let min = finite.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    for &v in &finite {
-        counts[bin_index(v, min, max, bins.max(1))] += 1;
-    }
-    counts
-}
-
 /// Shannon entropy (nats) of a count vector.
 pub fn entropy_of_counts(counts: &[usize]) -> f64 {
     let total: usize = counts.iter().sum();
@@ -245,13 +227,6 @@ mod tests {
         // Max value included in the top bin, not dropped.
         assert_eq!(bin_index(10.0, 0.0, 10.0, 5), 4);
         assert_eq!(bin_index(3.0, 3.0, 3.0, 5), 0);
-    }
-
-    #[test]
-    fn histogram_counts_all_values() {
-        let h = histogram(&[0.0, 1.0, 2.0, 3.0, 4.0], 5);
-        assert_eq!(h, vec![1, 1, 1, 1, 1]);
-        assert_eq!(histogram(&[], 3), vec![0, 0, 0]);
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl Dictionary {
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
     }
-
-    /// Iterate `(id, label)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        self.labels.iter().enumerate().map(|(i, l)| (i as u32, l.as_str()))
-    }
 }
 
 #[cfg(test)]
@@ -104,14 +99,5 @@ mod tests {
         assert_eq!(d.label(1), Some("backup"));
         assert_eq!(d.label(2), None);
         assert_eq!(d.id_of("backup"), Some(1));
-    }
-
-    #[test]
-    fn iter_yields_in_id_order() {
-        let mut d = Dictionary::new();
-        d.intern("a");
-        d.intern("b");
-        let pairs: Vec<_> = d.iter().collect();
-        assert_eq!(pairs, vec![(0, "a"), (1, "b")]);
     }
 }
